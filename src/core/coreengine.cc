@@ -473,7 +473,7 @@ size_t CoreEngine::DrainParked(shm::NkDevice* dev, std::vector<shm::NkDevice*>& 
 }
 
 void CoreEngine::MaybeRebalance(CoreEngineShard* victim) {
-  if (!config_.work_stealing || shards_.size() < 2) return;
+  if (shards_.size() < 2) return;
   ++victim->rounds_since_rebalance_;
   if (victim->rounds_since_rebalance_ < config_.steal_cooldown_rounds) return;
   if (victim->VmBacklog() < config_.steal_backlog) return;
@@ -1215,8 +1215,7 @@ void CoreEngineShard::ProcessRound() {
   SimTime retry_at = kSimTimeNever;
   uint64_t total = 0;
   const int batch = config.batch;
-  const uint64_t base_quantum =
-      static_cast<uint64_t>(config.quantum > 0 ? config.quantum : config.batch);
+  const uint64_t base_quantum = static_cast<uint64_t>(config.batch);
   Nqe nqe;
 
   // Poll the owned VM queue sets with weighted deficit round robin (fair

@@ -121,10 +121,10 @@ static_assert(sizeof(CeMessage) == 8, "control messages are 8 bytes (paper §5)"
 constexpr int32_t kCeNetUnreach = -101;
 
 struct CoreEngineConfig {
-  int batch = 16;  // NQEs drained per NSM ring per polling round
-  // DRR quantum: NQEs a weight-1 VM may switch per round. 0 means "use
-  // batch", so tuning batch (the ablation knob) scales both sides.
-  int quantum = 0;
+  // NQEs drained per NSM ring per polling round; also the DRR quantum (NQEs
+  // a weight-1 VM may switch per round), so tuning batch (the ablation knob)
+  // scales both sides.
+  int batch = 16;
   // Deliveries parked per destination device (per shard) before backpressure
   // reaches the source rings (routing defers, NQEs stay queued guest-side).
   // Deliveries already planned when the bound trips are dropped with error
@@ -138,7 +138,6 @@ struct CoreEngineConfig {
   // queue sets hold >= steal_backlog queued NQEs sheds its most backlogged
   // queue set to a shard with no VM backlog at all. steal_cooldown_rounds
   // throttles how often one shard may shed.
-  bool work_stealing = true;
   uint64_t steal_backlog = 64;
   uint64_t steal_cooldown_rounds = 8;
   // nkguard: adversarial-guest NQE validation at ring-consume time (see
@@ -539,47 +538,6 @@ class CoreEngine {
   std::unordered_map<uint16_t, int> nsm_qset_shard_;
   std::unordered_map<shm::NkDevice*, ParkCursor> park_cursors_;
   std::unordered_map<uint8_t, NsmHealth> nsm_health_;
-};
-
-// Coalesces an NSM's CoreEngine doorbells: all NQEs an NSM-side library
-// enqueues within one event-loop instant — a batched dispatch round, across
-// queue sets and across the VMs multiplexed onto the NSM — ride a single
-// NotifyNsmOutbound instead of one per NQE (ROADMAP item 2, Fig 8/Table 4).
-// Shared by ServiceLib and ShmServiceLib.
-class DoorbellCoalescer {
- public:
-  DoorbellCoalescer(sim::EventLoop* loop, CoreEngine* ce, uint8_t nsm_id, bool coalesce)
-      : loop_(loop), ce_(ce), nsm_id_(nsm_id), coalesce_(coalesce) {}
-
-  void Ring() {
-    if (!coalesce_) {
-      ++doorbells_;
-      ce_->NotifyNsmOutbound(nsm_id_);
-      return;
-    }
-    if (pending_) {
-      ++coalesced_;
-      return;
-    }
-    pending_ = true;
-    loop_->ScheduleAfter(0, [this] {
-      pending_ = false;
-      ++doorbells_;
-      ce_->NotifyNsmOutbound(nsm_id_);
-    });
-  }
-
-  uint64_t doorbells() const { return doorbells_; }
-  uint64_t coalesced() const { return coalesced_; }
-
- private:
-  sim::EventLoop* loop_;
-  CoreEngine* ce_;
-  uint8_t nsm_id_;
-  bool coalesce_;
-  bool pending_ = false;
-  uint64_t doorbells_ = 0;
-  uint64_t coalesced_ = 0;
 };
 
 }  // namespace netkernel::core

@@ -43,8 +43,12 @@ class Nsm {
   NsmKind kind() const { return kind_; }
   tcp::TcpStack* stack() { return stack_.get(); }
   udp::UdpStack* udp_stack() { return udp_stack_.get(); }
-  ServiceLib* servicelib() { return slib_.get(); }
-  ShmServiceLib* shm_servicelib() { return shm_slib_.get(); }
+  // The NQE front-end every NSM kind runs (attach, credits, eviction,
+  // shutdown, liveness, metrics). servicelib()/shm_servicelib() narrow it to
+  // the stack-backed or shared-memory transport (null for the other kind).
+  NsmService* service() { return service_.get(); }
+  ServiceLib* servicelib() { return dynamic_cast<ServiceLib*>(service_.get()); }
+  ShmServiceLib* shm_servicelib() { return dynamic_cast<ShmServiceLib*>(service_.get()); }
   sim::CpuCore* vcpu(int i) { return cores_[i].get(); }
   int num_vcpus() const { return static_cast<int>(cores_.size()); }
   netsim::Link* down_link() { return down_link_; }
@@ -73,10 +77,9 @@ class Nsm {
   std::unique_ptr<shm::NkDevice> dev_;
   std::unique_ptr<tcp::TcpStack> stack_;
   std::unique_ptr<udp::UdpStack> udp_stack_;
-  std::unique_ptr<ServiceLib> slib_;
-  std::unique_ptr<ShmServiceLib> shm_slib_;
+  std::unique_ptr<NsmService> service_;
   netsim::Nic* vnic_ = nullptr;
-  netsim::Link* down_link_ = nullptr;
+  netsim::Link* down_link_ = nullptr;  // null for the stackless shm NSM
   // FairShare NSM: one shared window group per VM.
   std::unordered_map<uint8_t, std::shared_ptr<tcp::SharedWindowGroup>> groups_;
 };
@@ -206,7 +209,7 @@ class Host {
   void SetStandbyNsm(Nsm* nsm);
   Nsm* standby_nsm() { return standby_; }
 
-  // Starts heartbeats on every stack-backed NSM and polls their health every
+  // Starts heartbeats on every NSM and polls their health every
   // check_period: an NSM silent (no beacon, no doorbell) for longer than
   // heartbeat_period + grace accrues a miss; miss_threshold consecutive
   // misses trigger FailoverNsm. Silent-with-backlog is flagged as wedged
@@ -218,7 +221,7 @@ class Host {
   // Drain-and-replace of `sick` onto the registered standby — the rolling
   // live-upgrade primitive, and what the controller calls on detection.
   // Deregisters the sick NSM (erroring its stream connections with FINs),
-  // shuts its ServiceLib down, re-homes every VM it served, and notifies
+  // shuts its NsmService down, re-homes every VM it served, and notifies
   // each guest with kNsmRehomed. Returns the number of VMs re-homed; no-op
   // (returns 0) without a standby.
   size_t FailoverNsm(Nsm* sick);
@@ -270,7 +273,7 @@ class Host {
   std::string DumpMetricsJson() const;
 
   // Merged (virtual-time-ordered) tail of every flight recorder on the host:
-  // all CoreEngine shards plus every ServiceLib.
+  // all CoreEngine shards, every NSM front-end and the failover controller.
   std::string DumpFlightRecorder(size_t last_k = 32) const;
 
   // Resets the process-wide IP allocator. Tests that compare two runs for
@@ -280,6 +283,9 @@ class Host {
  private:
   void ScheduleFailoverCheck();
   void RunFailoverCheck();
+  // Attaches `vm` to `nsm` under `ip`: NSM front-end state, the fabric route
+  // to a stack-backed NSM's vNIC, and a FairShare NSM's per-VM window.
+  void AttachVmToNsm(Vm* vm, Nsm* nsm, netsim::IpAddr ip);
   // Attaches the VM to `to` under its ORIGINAL address (no alias), re-points
   // the fabric route, and notifies the guest with kNsmRehomed.
   void RehomeVm(Vm* vm, Nsm* to);

@@ -23,6 +23,7 @@
 #include "src/core/coreengine.h"
 #include "src/core/guestlib.h"
 #include "src/core/host.h"
+#include "src/core/nsm_service.h"
 #include "src/core/servicelib.h"
 #include "src/core/shm_nsm.h"
 #include "src/core/socket_api.h"

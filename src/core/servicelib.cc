@@ -4,10 +4,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <string>
 
 #include "src/common/check.h"
-#include "src/guard/nqe_validator.h"
 
 namespace netkernel::core {
 
@@ -15,20 +13,23 @@ using shm::MakeNqe;
 using shm::Nqe;
 using shm::NqeOp;
 
+namespace {
+
+// NQE translation runs on the stack's own cores (queue set qs on core qs % n).
+std::vector<sim::CpuCore*> StackCores(tcp::TcpStack* stack) {
+  std::vector<sim::CpuCore*> cores;
+  for (int i = 0; i < stack->num_cores(); ++i) cores.push_back(stack->core(i));
+  return cores;
+}
+
+}  // namespace
+
 ServiceLib::ServiceLib(sim::EventLoop* loop, uint8_t nsm_id, CoreEngine* ce, shm::NkDevice* dev,
                        tcp::TcpStack* stack, udp::UdpStack* udp_stack, Config config)
-    : loop_(loop),
-      nsm_id_(nsm_id),
-      ce_(ce),
-      dev_(dev),
+    : NsmService(loop, nsm_id, ce, dev, StackCores(stack), config.costs.servicelib_translate),
       stack_(stack),
       udp_stack_(udp_stack),
-      config_(config),
-      drain_scheduled_(static_cast<size_t>(dev->num_queue_sets()), false),
-      doorbell_(loop, ce, nsm_id, config.coalesce_wakeups),
-      recorder_(loop, "nsm" + std::to_string(nsm_id) + ".svc") {
-  dev_->SetWakeCallback([this] { OnDeviceWake(); });
-}
+      config_(config) {}
 
 ServiceLib::ServiceLib(sim::EventLoop* loop, uint8_t nsm_id, CoreEngine* ce, shm::NkDevice* dev,
                        tcp::TcpStack* stack, udp::UdpStack* udp_stack)
@@ -37,9 +38,8 @@ ServiceLib::ServiceLib(sim::EventLoop* loop, uint8_t nsm_id, CoreEngine* ce, shm
 ServiceLib::~ServiceLib() { *alive_ = false; }
 
 void ServiceLib::AttachVm(uint8_t vm_id, shm::HugepagePool* pool, netsim::IpAddr vm_ip) {
-  VmInfo info;
-  info.pool = pool;
-  info.ip = vm_ip;
+  NsmService::AttachVm(vm_id, pool, vm_ip);
+  VmStack info;
   // RX zero-copy: the stacks draw this VM's receive storage straight from its
   // hugepage pool, so ShipRecv/ShipDgrams can detach and forward the chunk
   // the stack already owns. The callbacks outlive arbitrary teardown orders
@@ -68,20 +68,13 @@ void ServiceLib::AttachVm(uint8_t vm_id, shm::HugepagePool* pool, netsim::IpAddr
     auto it = vms_.find(vm_id);
     if (it != vms_.end()) it->second.pool->Free(handle);
   };
-  vms_[vm_id] = std::move(info);
+  vm_stacks_[vm_id] = std::move(info);
 }
-
-void ServiceLib::DetachVm(uint8_t vm_id) { vms_.erase(vm_id); }
 
 void ServiceLib::SetVmCcFactory(uint8_t vm_id, tcp::CcFactory factory) {
-  auto it = vms_.find(vm_id);
-  NK_CHECK(it != vms_.end());
+  auto it = vm_stacks_.find(vm_id);
+  NK_CHECK(it != vm_stacks_.end());
   it->second.cc_factory = std::move(factory);
-}
-
-ServiceLib::Conn* ServiceLib::FindByVm(uint8_t vm_id, uint32_t vm_sock) {
-  auto it = by_vm_.find(VmKey(vm_id, vm_sock));
-  return it == by_vm_.end() ? nullptr : it->second;
 }
 
 ServiceLib::Conn* ServiceLib::FindBySid(tcp::SocketId sid) {
@@ -106,155 +99,10 @@ ServiceLib::Conn& ServiceLib::NewConn(uint8_t vm_id, uint8_t vm_qset, uint32_t v
 }
 
 // ---------------------------------------------------------------------------
-// NSM -> VM NQE emission
-// ---------------------------------------------------------------------------
-
-bool ServiceLib::EnqueueToVm(const Conn& c, Nqe nqe, bool receive_ring) {
-  nqe.vm_id = c.vm_id;
-  nqe.queue_set = c.vm_qset;
-  nqe.vm_sock = c.vm_sock;
-  int qs = c.nsm_qset < dev_->num_queue_sets() ? c.nsm_qset : 0;
-  // T3 lifecycle stamp: a completion produced synchronously inside a traced
-  // dispatch inherits the request's trace id before it hits the ring.
-  if (tracer_ != nullptr && !receive_ring) {
-    Cycles tc = tracer_->TagCompletion(&nqe);
-    if (tc != 0) stack_->core(qs % stack_->num_cores())->AccountOnly(tc);
-  }
-  shm::QueueSet& q = dev_->queue_set(qs);
-  bool ok = (receive_ring ? q.receive : q.completion).TryEnqueue(nqe);
-  if (!ok) {
-    // Severe overload: the NSM-side ring (4K deep) is full. The caller owns
-    // any referenced chunk; the loss itself must never be silent.
-    ++nqes_dropped_;
-    recorder_.Record(obs::FlightEventType::kRingFullDrop, nqe.vm_id, nqe.queue_set,
-                     nqe.op, nqe.vm_sock, receive_ring ? 1 : 0);
-    return false;
-  }
-  doorbell_.Ring();
-  return true;
-}
-
-void ServiceLib::Respond(const Conn& c, NqeOp op, NqeOp orig, int32_t result, uint64_t op_data) {
-  Nqe nqe = MakeNqe(op, c.vm_id, c.vm_qset, c.vm_sock, op_data, 0,
-                    static_cast<uint32_t>(result));
-  nqe.reserved[0] = static_cast<uint8_t>(orig);
-  EnqueueToVm(c, nqe, false);
-}
-
-// ---------------------------------------------------------------------------
 // Inbound dispatch
 // ---------------------------------------------------------------------------
 
-// ---------------------------------------------------------------------------
-// Liveness heartbeat
-// ---------------------------------------------------------------------------
-
-void ServiceLib::StartHeartbeat(SimTime period) {
-  NK_CHECK(period > 0);
-  heartbeat_period_ = period;
-  heartbeat_timer_.Cancel();
-  ScheduleHeartbeat();
-}
-
-void ServiceLib::StopHeartbeat() {
-  heartbeat_period_ = 0;
-  heartbeat_timer_.Cancel();
-}
-
-void ServiceLib::ScheduleHeartbeat() {
-  if (shutdown_ || wedged_ || heartbeat_period_ == 0) return;
-  heartbeat_timer_ = loop_->ScheduleAfter(heartbeat_period_, [this] {
-    if (shutdown_ || wedged_ || heartbeat_period_ == 0) return;
-    ce_->HandleControlMessage(
-        {static_cast<uint32_t>(CeOp::kHeartbeat), nsm_id_});
-    ++heartbeats_sent_;
-    ScheduleHeartbeat();
-  });
-}
-
-void ServiceLib::Wedge() {
-  wedged_ = true;
-  heartbeat_timer_.Cancel();
-}
-
-void ServiceLib::OnDeviceWake() {
-  if (shutdown_ || wedged_) return;
-  for (int qs = 0; qs < dev_->num_queue_sets(); ++qs) {
-    shm::QueueSet& q = dev_->queue_set(qs);
-    if (!q.job.Empty() || !q.send.Empty()) ProcessQueueSet(qs);
-  }
-}
-
-void ServiceLib::ProcessQueueSet(int qs) {
-  if (shutdown_ || wedged_ || drain_scheduled_[qs]) return;
-  drain_scheduled_[qs] = true;
-
-  shm::QueueSet& q = dev_->queue_set(qs);
-  // The send ring drains before the job ring so a close() issued right after
-  // a send() cannot overtake the data (the guest wrote them in that order).
-  Nqe buf[128];
-  size_t n = q.send.DequeueBatch(buf, 64);
-  n += q.job.DequeueBatch(buf + n, 64);
-  if (n == 0) {
-    drain_scheduled_[qs] = false;
-    return;
-  }
-  nqes_processed_ += n;
-
-  std::vector<Nqe> nqes(buf, buf + n);
-  int core_idx = qs % stack_->num_cores();
-  Cycles cost = config_.costs.servicelib_translate * static_cast<Cycles>(n);
-  stack_->core(core_idx)->Charge(cost, [this, qs, nqes = std::move(nqes)]() mutable {
-    if (shutdown_) {
-      // Shutdown raced this in-flight batch: the NQEs were already pulled off
-      // the rings, so the ring drain missed them — unwind their chunks here.
-      for (const Nqe& nqe : nqes) FreeNqeChunk(nqe);
-      drain_scheduled_[qs] = false;
-      return;
-    }
-    for (Nqe& nqe : nqes) {
-      if (shutdown_) {
-        // A dispatched NQE triggered Shutdown mid-batch: the connection maps
-        // were already cleared, so the rest of the batch must unwind, not
-        // dispatch against freed state.
-        FreeNqeChunk(nqe);
-        continue;
-      }
-      nqe.reserved[2] = static_cast<uint8_t>(qs);  // processing queue set
-      if (tracer_ != nullptr) {
-        // T2 lifecycle stamp; the dispatch scope lets a synchronous
-        // completion inherit the trace id in EnqueueToVm (T3).
-        Cycles tc = tracer_->BeginDispatch(nqe);
-        if (tc != 0) stack_->core(qs % stack_->num_cores())->AccountOnly(tc);
-        Dispatch(nqe);
-        tracer_->EndDispatch();
-      } else {
-        Dispatch(nqe);
-      }
-    }
-    drain_scheduled_[qs] = false;
-    shm::QueueSet& q2 = dev_->queue_set(qs);
-    if (!q2.job.Empty() || !q2.send.Empty()) ProcessQueueSet(qs);
-  });
-}
-
 void ServiceLib::Dispatch(const Nqe& nqe) {
-  // nkguard boundary: only guest->NSM request verbs may dispatch. The
-  // CoreEngine validator already refuses everything else at ring-consume
-  // time, so anything that still lands here (a harness bypassing the switch,
-  // a rehome race) is dropped and counted rather than poking stack state.
-  if (!guard::IsGuestToNsmOp(nqe.Op())) {
-    ++guard_drops_;
-    return;
-  }
-  // A quarantined VM's in-flight stragglers unwind their payload chunks into
-  // its still-reachable pool instead of dispatching against torn-down state.
-  auto evit = vms_.find(nqe.vm_id);
-  if (evit != vms_.end() && evit->second.evicted) {
-    ++guard_drops_;
-    FreeNqeChunk(nqe);
-    return;
-  }
   switch (nqe.Op()) {
     case NqeOp::kSocket:
       DoSocket(nqe);
@@ -295,22 +143,11 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
     case NqeOp::kRegisterDevice:
     case NqeOp::kDeregisterDevice:
     case NqeOp::kHeartbeat:
-      return;  // excluded by the IsGuestToNsmOp prefilter above
+      return;  // excluded by the NsmService::Admit prefilter
   }
   Conn* c = FindByVm(nqe.vm_id, nqe.vm_sock);
   if (c == nullptr) {
-    // A send can overtake its socket's accept-link NQE (they travel on
-    // different rings); park it until the link arrives.
-    if (nqe.Op() == NqeOp::kSend || nqe.Op() == NqeOp::kSendZc) {
-      orphan_sends_[VmKey(nqe.vm_id, nqe.vm_sock)].push_back(nqe);
-    }
-    // A kSendTo whose socket already closed (a kClose overtook it through the
-    // job ring): the datagram is lost — UDP loses datagrams — but its payload
-    // chunk must go back to the pool.
-    if (nqe.Op() == NqeOp::kSendTo || nqe.Op() == NqeOp::kSendToZc) {
-      auto vit = vms_.find(nqe.vm_id);
-      if (vit != vms_.end()) vit->second.pool->Free(nqe.data_ptr);
-    }
+    OnUnknownSocket(nqe);
     return;
   }
   switch (nqe.Op()) {
@@ -381,13 +218,12 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
 void ServiceLib::DoSocket(const Nqe& nqe) {
   auto vit = vms_.find(nqe.vm_id);
   if (vit == vms_.end()) return;
+  const VmStack& vs = vm_stacks_[nqe.vm_id];
   tcp::SocketId sid = stack_->CreateSocket();
-  if (vit->second.cc_factory) {
-    stack_->SetCongestionControl(sid, vit->second.cc_factory());
-  }
+  if (vs.cc_factory) stack_->SetCongestionControl(sid, vs.cc_factory());
   // RX zero-copy: inbound payload lands in the VM's pool; listeners pass the
   // allocator on to accepted children inside the stack.
-  if (config_.rx_zerocopy) stack_->SetRxChunkAllocator(sid, vit->second.rx_allocator);
+  if (config_.rx_zerocopy) stack_->SetRxChunkAllocator(sid, vs.rx_allocator);
   // Connections of this VM use the VM's address (the NSM's vNIC answers for
   // every address of the VMs it serves).
   stack_->Bind(sid, vit->second.ip, 0);
@@ -397,7 +233,7 @@ void ServiceLib::DoSocket(const Nqe& nqe) {
   c.linked = true;
   c.nsm_qset = nqe.reserved[2];
   by_sid_[sid] = std::move(pending_owner_);
-  by_vm_[VmKey(c.vm_id, c.vm_sock)] = by_sid_[sid].get();
+  IndexSocket(&c);
   Respond(c, NqeOp::kOpResult, NqeOp::kSocket, 0, sid);
 }
 
@@ -452,8 +288,8 @@ void ServiceLib::AutoAccept(tcp::SocketId listener_sid) {
     c.sid = cid;
     c.nsm_qset = l->nsm_qset;
     by_sid_[cid] = std::move(pending_owner_);
-    auto vit = vms_.find(l->vm_id);
-    if (vit != vms_.end() && vit->second.cc_factory) {
+    auto vit = vm_stacks_.find(l->vm_id);
+    if (vit != vm_stacks_.end() && vit->second.cc_factory) {
       stack_->SetCongestionControl(cid, vit->second.cc_factory());
     }
     // Tell GuestLib about the new connection; the NSM socket id rides in
@@ -468,33 +304,23 @@ void ServiceLib::DoAcceptLink(const Nqe& nqe) {
   Conn* c = FindBySid(sid);
   if (c == nullptr || !stack_->Exists(sid)) {
     // Connection reset before the guest accepted it: signal EOF.
-    Conn tmp;
-    tmp.vm_id = nqe.vm_id;
-    tmp.vm_qset = nqe.queue_set;
-    tmp.vm_sock = nqe.vm_sock;
-    tmp.nsm_qset = nqe.reserved[2];
     Nqe fin = MakeNqe(NqeOp::kFinReceived, 0, 0, 0, 0, 0,
                       static_cast<uint32_t>(tcp::kConnReset));
-    EnqueueToVm(tmp, fin, true);
+    EnqueueToVm(ReplyTo(nqe), fin, true);
     return;
   }
   c->vm_id = nqe.vm_id;
   c->vm_qset = nqe.queue_set;
   c->vm_sock = nqe.vm_sock;
   c->linked = true;
-  by_vm_[VmKey(c->vm_id, c->vm_sock)] = c;
+  IndexSocket(c);
   InstallDataCallbacks(*c);
   // Replay any sends that overtook this link NQE.
-  auto oit = orphan_sends_.find(VmKey(c->vm_id, c->vm_sock));
-  if (oit != orphan_sends_.end()) {
-    std::vector<Nqe> orphans = std::move(oit->second);
-    orphan_sends_.erase(oit);
-    for (const Nqe& send_nqe : orphans) {
-      if (send_nqe.Op() == NqeOp::kSendZc) {
-        DoSendZc(send_nqe, *c);
-      } else {
-        DoSend(send_nqe, *c);
-      }
+  for (const Nqe& send_nqe : TakeOrphans(c->vm_id, c->vm_sock)) {
+    if (send_nqe.Op() == NqeOp::kSendZc) {
+      DoSendZc(send_nqe, *c);
+    } else {
+      DoSend(send_nqe, *c);
     }
   }
   ShipRecv(sid);  // data may have arrived before the link
@@ -561,29 +387,21 @@ std::function<void()> ServiceLib::MakeZcFreeCallback(const Conn& c, uint64_t ptr
   // The callback lives inside the TcpStack send buffer and can fire on ACK,
   // on connection teardown, or during stack destruction — potentially after
   // this ServiceLib, the Conn, or the VM's pool are gone. It therefore
-  // carries the liveness token and re-resolves the pool through vms_.
-  const uint8_t vm_id = c.vm_id;
-  const uint8_t vm_qset = c.vm_qset;
-  const uint8_t nsm_qset = c.nsm_qset;
-  const uint32_t vm_sock = c.vm_sock;
-  return [this, alive = alive_, vm_id, vm_qset, nsm_qset, vm_sock, ptr, size] {
+  // carries the liveness token, a copy of the reply target, and re-resolves
+  // the pool through vms_.
+  return [this, alive = alive_, to = NsmSocket(c), ptr, size] {
     if (!*alive) return;
-    auto vit = vms_.find(vm_id);
+    auto vit = vms_.find(to.vm_id);
     if (vit == vms_.end()) return;  // VM detached; its pool may be gone too
     vit->second.pool->Free(ptr);
-    recorder_.Record(obs::FlightEventType::kZcChunkFree, vm_id, vm_qset,
-                     static_cast<uint8_t>(NqeOp::kSendZc), vm_sock, size);
+    recorder_.Record(obs::FlightEventType::kZcChunkFree, to.vm_id, to.vm_qset,
+                     static_cast<uint8_t>(NqeOp::kSendZc), to.vm_sock, size);
     // Return the send credit. Status 0 covers both outcomes — on a teardown
     // with unacked bytes the guest also receives the error FIN, which is
     // what reports the broken stream.
-    Conn tmp;
-    tmp.vm_id = vm_id;
-    tmp.vm_qset = vm_qset;
-    tmp.nsm_qset = nsm_qset;
-    tmp.vm_sock = vm_sock;
-    Nqe nqe = MakeNqe(NqeOp::kSendZcComplete, vm_id, vm_qset, vm_sock, size);
+    Nqe nqe = MakeNqe(NqeOp::kSendZcComplete, to.vm_id, to.vm_qset, to.vm_sock, size);
     nqe.reserved[0] = static_cast<uint8_t>(NqeOp::kSendZc);
-    EnqueueToVm(tmp, nqe, false);
+    EnqueueToVm(to, nqe, false);
   };
 }
 
@@ -805,7 +623,7 @@ void ServiceLib::MaybeFinishClose(tcp::SocketId sid) {
   Conn* c = FindBySid(sid);
   if (c == nullptr || !c->close_pending) return;
   if (c->sends_in_flight > 0 || !c->pending_tx.empty()) return;
-  by_vm_.erase(VmKey(c->vm_id, c->vm_sock));
+  UnindexSocket(*c);
   stack_->SetCallbacks(sid, {});
   stack_->Close(sid);
   by_sid_.erase(sid);
@@ -818,13 +636,8 @@ void ServiceLib::MaybeFinishClose(tcp::SocketId sid) {
 void ServiceLib::DoSocketUdp(const Nqe& nqe) {
   auto vit = vms_.find(nqe.vm_id);
   if (vit == vms_.end()) return;
-  Conn tmp;
-  tmp.vm_id = nqe.vm_id;
-  tmp.vm_qset = nqe.queue_set;
-  tmp.vm_sock = nqe.vm_sock;
-  tmp.nsm_qset = nqe.reserved[2];
   if (udp_stack_ == nullptr) {
-    Respond(tmp, NqeOp::kOpResult, NqeOp::kSocketUdp, udp::kBadSocket);
+    Respond(ReplyTo(nqe), NqeOp::kOpResult, NqeOp::kSocketUdp, udp::kBadSocket);
     return;
   }
   udp::SocketId usid = udp_stack_->CreateSocket();
@@ -838,13 +651,13 @@ void ServiceLib::DoSocketUdp(const Nqe& nqe) {
   c.linked = true;
   c.nsm_qset = nqe.reserved[2];
   by_usid_[usid] = std::move(pending_owner_);
-  by_vm_[VmKey(c.vm_id, c.vm_sock)] = by_usid_[usid].get();
+  IndexSocket(&c);
   udp::UdpSocketCallbacks cbs;
   cbs.on_readable = [this, usid] { ShipDgrams(usid); };
   udp_stack_->SetCallbacks(usid, std::move(cbs));
   // RX zero-copy: inbound datagrams land directly in the VM's pool.
   if (config_.rx_zerocopy) {
-    udp_stack_->SetRxChunkAllocator(usid, vit->second.rx_allocator);
+    udp_stack_->SetRxChunkAllocator(usid, vm_stacks_[nqe.vm_id].rx_allocator);
   }
   Respond(c, NqeOp::kOpResult, NqeOp::kSocketUdp, 0, usid);
 }
@@ -891,25 +704,16 @@ std::function<void()> ServiceLib::MakeDgramZcFreeCallback(const Conn& c, uint64_
   // Fires when the UDP stack commits the wire datagram (skb owns the bytes).
   // Same teardown hazards as the stream variant: liveness token + pool
   // re-resolution through vms_.
-  const uint8_t vm_id = c.vm_id;
-  const uint8_t vm_qset = c.vm_qset;
-  const uint8_t nsm_qset = c.nsm_qset;
-  const uint32_t vm_sock = c.vm_sock;
-  return [this, alive = alive_, vm_id, vm_qset, nsm_qset, vm_sock, ptr, size] {
+  return [this, alive = alive_, to = NsmSocket(c), ptr, size] {
     if (!*alive) return;
-    auto vit = vms_.find(vm_id);
+    auto vit = vms_.find(to.vm_id);
     if (vit == vms_.end()) return;
     vit->second.pool->Free(ptr);
-    recorder_.Record(obs::FlightEventType::kZcChunkFree, vm_id, vm_qset,
-                     static_cast<uint8_t>(NqeOp::kSendToZc), vm_sock, size);
-    Conn tmp;
-    tmp.vm_id = vm_id;
-    tmp.vm_qset = vm_qset;
-    tmp.nsm_qset = nsm_qset;
-    tmp.vm_sock = vm_sock;
-    Nqe nqe = MakeNqe(NqeOp::kSendToResult, vm_id, vm_qset, vm_sock, size);
+    recorder_.Record(obs::FlightEventType::kZcChunkFree, to.vm_id, to.vm_qset,
+                     static_cast<uint8_t>(NqeOp::kSendToZc), to.vm_sock, size);
+    Nqe nqe = MakeNqe(NqeOp::kSendToResult, to.vm_id, to.vm_qset, to.vm_sock, size);
     nqe.reserved[0] = static_cast<uint8_t>(NqeOp::kSendToZc);
-    EnqueueToVm(tmp, nqe, false);
+    EnqueueToVm(to, nqe, false);
   };
 }
 
@@ -947,20 +751,6 @@ void ServiceLib::DoSendToZc(const Nqe& nqe, Conn& c) {
     }
     MaybeFinishCloseDgram(usid);
   });
-}
-
-void ServiceLib::FreeNqeChunk(const Nqe& nqe) {
-  NqeOp op = nqe.Op();
-  if (op != NqeOp::kSend && op != NqeOp::kSendZc && op != NqeOp::kSendTo &&
-      op != NqeOp::kSendToZc) {
-    return;
-  }
-  auto vit = vms_.find(nqe.vm_id);
-  if (vit != vms_.end() && vit->second.pool->IsAllocated(nqe.data_ptr)) {
-    vit->second.pool->Free(nqe.data_ptr);
-    recorder_.Record(obs::FlightEventType::kShutdownDrain, nqe.vm_id, nqe.queue_set,
-                     nqe.op, nqe.vm_sock, nqe.size);
-  }
 }
 
 void ServiceLib::ShipDgrams(udp::SocketId usid) {
@@ -1058,105 +848,20 @@ void ServiceLib::MaybeFinishCloseDgram(udp::SocketId usid) {
   Conn* c = FindByUsid(usid);
   if (c == nullptr || !c->close_pending) return;
   if (c->sends_in_flight > 0 || c->ship_pending) return;
-  by_vm_.erase(VmKey(c->vm_id, c->vm_sock));
+  UnindexSocket(*c);
   if (udp_stack_ != nullptr) udp_stack_->Close(usid);
   by_usid_.erase(usid);
 }
 
 // ---------------------------------------------------------------------------
-// NSM death with recoverable accounting
+// Per-VM teardown (NsmService::EvictVm / Shutdown)
 // ---------------------------------------------------------------------------
 
-void ServiceLib::Shutdown() {
-  if (shutdown_) return;
-  shutdown_ = true;
-  StopHeartbeat();
-
-  // 1. Abort every connection. Abort tears the socket down synchronously:
-  //    zc chunks still queued in the send buffer fire their exactly-once free
-  //    callbacks (pool free + kSendZcComplete into the dead rings, harmless),
-  //    and pool-backed receive chunks free on rcvbuf destruction.
-  std::vector<tcp::SocketId> sids;
-  sids.reserve(by_sid_.size());
-  for (auto& [sid, conn] : by_sid_) sids.push_back(sid);
-  for (tcp::SocketId sid : sids) {
-    Conn* c = FindBySid(sid);
-    if (c == nullptr) continue;
-    // Queued-but-not-yet-admitted TX chunks never reached the stack.
-    auto vit = vms_.find(c->vm_id);
-    for (const PendingTx& tx : c->pending_tx) {
-      if (vit != vms_.end()) vit->second.pool->Free(tx.ptr);
-    }
-    c->pending_tx.clear();
-    stack_->SetCallbacks(sid, {});
-    if (stack_->Exists(sid)) {
-      // Close() unlinks a listener from the port table (and aborts its
-      // unclaimed children); Abort() RSTs a live connection.
-      if (c->listener) {
-        stack_->Close(sid);
-      } else {
-        stack_->Abort(sid);
-      }
-    }
-  }
-
-  // 2. Close every datagram socket: UdpStack frees pool-landed datagrams
-  //    still queued through the allocator.
-  std::vector<udp::SocketId> usids;
-  usids.reserve(by_usid_.size());
-  for (auto& [usid, conn] : by_usid_) usids.push_back(usid);
-  if (udp_stack_ != nullptr) {
-    for (udp::SocketId usid : usids) udp_stack_->Close(usid);
-  }
-
-  // 3. Drain the now-unreachable device rings. VM->NSM rings may hold sends
-  //    whose chunks the guest already handed over; NSM->VM rings may hold
-  //    receive data we shipped that the guest will never see. Either way the
-  //    chunk's owner of record is this NSM — return them to the pools.
-  Nqe nqe;
-  for (int qs = 0; qs < dev_->num_queue_sets(); ++qs) {
-    shm::QueueSet& q = dev_->queue_set(qs);
-    while (q.send.TryDequeue(&nqe)) FreeNqeChunk(nqe);
-    while (q.job.TryDequeue(&nqe)) FreeNqeChunk(nqe);
-    while (q.receive.TryDequeue(&nqe)) {
-      if (nqe.Op() == NqeOp::kRecvData || nqe.Op() == NqeOp::kDgramRecv ||
-          nqe.Op() == NqeOp::kDgramRecvZc) {
-        auto vit = vms_.find(nqe.vm_id);
-        if (vit != vms_.end() && vit->second.pool->IsAllocated(nqe.data_ptr)) {
-          vit->second.pool->Free(nqe.data_ptr);
-        }
-      }
-    }
-    while (q.completion.TryDequeue(&nqe)) {
-    }
-  }
-
-  // 4. Orphan sends parked for an accept-link that will never arrive.
-  for (auto& [key, orphans] : orphan_sends_) {
-    for (const Nqe& orphan : orphans) FreeNqeChunk(orphan);
-  }
-  orphan_sends_.clear();
-
-  by_vm_.clear();
-  by_sid_.clear();
-  by_usid_.clear();
-}
-
-// ---------------------------------------------------------------------------
-// nkguard quarantine: per-VM eviction
-// ---------------------------------------------------------------------------
-
-void ServiceLib::EvictVm(uint8_t vm_id) {
-  auto vmit = vms_.find(vm_id);
-  if (vmit == vms_.end() || vmit->second.evicted) return;
-  // Mark first: any callback fired by the teardown below (rx allocator
-  // alloc, zc frees) sees the eviction and refuses to grow new state.
-  vmit->second.evicted = true;
-  shm::HugepagePool* pool = vmit->second.pool;
-
-  // 1. Abort the VM's stream connections (Shutdown step 1, scoped to one
-  //    VM): queued-but-unadmitted TX chunks free here; zc chunks still in
-  //    the stack's send buffer fire their exactly-once free callbacks.
+size_t ServiceLib::ReleaseVmState(uint8_t vm_id, shm::HugepagePool* pool) {
+  // 1. Abort the VM's stream connections. Abort tears the socket down
+  //    synchronously: zc chunks still queued in the send buffer fire their
+  //    exactly-once free callbacks, and pool-backed receive chunks free on
+  //    rcvbuf destruction. Queued-but-unadmitted TX chunks free here.
   std::vector<tcp::SocketId> sids;
   for (auto& [sid, conn] : by_sid_) {
     if (conn->vm_id == vm_id) sids.push_back(sid);
@@ -1168,13 +873,15 @@ void ServiceLib::EvictVm(uint8_t vm_id) {
     c->pending_tx.clear();
     stack_->SetCallbacks(sid, {});
     if (stack_->Exists(sid)) {
+      // Close() unlinks a listener from the port table (and aborts its
+      // unclaimed children); Abort() RSTs a live connection.
       if (c->listener) {
         stack_->Close(sid);
       } else {
         stack_->Abort(sid);
       }
     }
-    by_vm_.erase(VmKey(vm_id, c->vm_sock));
+    UnindexSocket(*c);
     by_sid_.erase(sid);
   }
 
@@ -1188,57 +895,10 @@ void ServiceLib::EvictVm(uint8_t vm_id) {
     Conn* c = FindByUsid(usid);
     if (c == nullptr) continue;
     if (udp_stack_ != nullptr) udp_stack_->Close(usid);
-    by_vm_.erase(VmKey(vm_id, c->vm_sock));
+    UnindexSocket(*c);
     by_usid_.erase(usid);
   }
-
-  // 3. Sweep the VM's NQEs out of the (shared) device rings, returning
-  //    payload chunks to its pool; co-tenant NQEs are re-enqueued in order.
-  //    The single-threaded DES makes the consumer-side drain-and-refill
-  //    safe, and a full drain guarantees the re-enqueues fit.
-  Nqe nqe;
-  for (int qs = 0; qs < dev_->num_queue_sets(); ++qs) {
-    shm::QueueSet& q = dev_->queue_set(qs);
-    const auto sweep = [&](shm::SpscRing<Nqe>& ring, auto reclaim) {
-      std::vector<Nqe> keep;
-      while (ring.TryDequeue(&nqe)) {
-        if (nqe.vm_id == vm_id) {
-          reclaim(nqe);
-        } else {
-          keep.push_back(nqe);
-        }
-      }
-      for (const Nqe& k : keep) NK_CHECK(ring.TryEnqueue(k));
-    };
-    sweep(q.send, [&](const Nqe& n) { FreeNqeChunk(n); });
-    sweep(q.job, [&](const Nqe& n) { FreeNqeChunk(n); });
-    sweep(q.receive, [&](const Nqe& n) {
-      if ((n.Op() == NqeOp::kRecvData || n.Op() == NqeOp::kDgramRecv ||
-           n.Op() == NqeOp::kDgramRecvZc) &&
-          pool->IsAllocated(n.data_ptr)) {
-        pool->Free(n.data_ptr);
-      }
-    });
-    sweep(q.completion, [&](const Nqe& n) {
-      // A completion still carrying its (unconsumed) chunk owns it.
-      if (n.reserved[1] == shm::kNqeFlagChunkUnconsumed && pool->IsAllocated(n.data_ptr)) {
-        pool->Free(n.data_ptr);
-      }
-    });
-  }
-
-  // 4. Orphan sends parked for an accept-link that will never arrive.
-  for (auto it = orphan_sends_.begin(); it != orphan_sends_.end();) {
-    if (static_cast<uint8_t>(it->first >> 32) == vm_id) {
-      for (const Nqe& orphan : it->second) FreeNqeChunk(orphan);
-      it = orphan_sends_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-
-  recorder_.Record(obs::FlightEventType::kShutdownDrain, vm_id, 0, 0, 0,
-                   sids.size() + usids.size());
+  return sids.size() + usids.size();
 }
 
 }  // namespace netkernel::core

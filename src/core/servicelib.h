@@ -1,11 +1,16 @@
 // Copyright (c) NetKernel reproduction authors.
-// ServiceLib: the NSM-side half of the socket semantics channel (paper §4.5).
+// ServiceLib: the stack-backed transport behind the shared NSM front-end
+// (NsmService, paper §4.5).
 //
-// Consumes job/send NQEs from the NK device, invokes the NSM's network stack
-// (kernel-profile or mTCP-profile TcpStack) and streams results/data back as
-// completion/receive NQEs. Runs in the same space as the stack (kernel-space
-// ServiceLib for the kernel NSM; the per-core mTCP application thread for the
-// mTCP NSM), so stack calls are direct function calls.
+// NsmService drains the NK device's job/send rings, applies the nkguard
+// prefilter and emits completion/receive NQEs; ServiceLib's Dispatch turns
+// each admitted NQE into calls on the NSM's network stack (kernel-profile or
+// mTCP-profile TcpStack, plus a UdpStack) and streams results and data back.
+// It runs in the same space as the stack (kernel-space ServiceLib for the
+// kernel NSM; the per-core mTCP application thread for the mTCP NSM), so
+// stack calls are direct function calls. The other transport is
+// ShmServiceLib (src/core/shm_nsm.h), which copies between colocated VMs'
+// hugepage pools instead.
 //
 // One ServiceLib serves many VMs (multiplexing, §6.1): each VM attaches with
 // its own hugepage pool and IP address, and the FairShare NSM (§6.2) installs
@@ -19,25 +24,18 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/core/coreengine.h"
-#include "src/shm/hugepage_pool.h"
-#include "src/shm/nk_device.h"
+#include "src/core/nsm_service.h"
 #include "src/tcpstack/stack.h"
 #include "src/udpstack/stack.h"
 
 namespace netkernel::core {
 
-class ServiceLib {
+class ServiceLib : public NsmService {
  public:
   struct Config {
     tcp::NetkernelCosts costs;
     // Per-connection cap on bytes shipped to the VM but not yet consumed.
     uint64_t rx_outstanding_cap = 1 * kMiB;
-    // Coalesce CoreEngine doorbells: ring notifications for NSM->VM NQEs
-    // produced within one dispatch round — across queue sets and across all
-    // VMs multiplexed onto this NSM — collapse into a single wakeup instead
-    // of one per NQE (ROADMAP item 2, paper Fig 8/Table 4).
-    bool coalesce_wakeups = true;
     // RX zero-copy: land inbound payload directly in the VM's hugepage pool
     // and ship detached chunks (no rcvbuf->hugepage copy). Off = the pre-zc
     // staging-copy receive path — the Table 6 RX baseline.
@@ -49,52 +47,10 @@ class ServiceLib {
              tcp::TcpStack* stack, udp::UdpStack* udp_stack, Config config);
   ServiceLib(sim::EventLoop* loop, uint8_t nsm_id, CoreEngine* ce, shm::NkDevice* dev,
              tcp::TcpStack* stack, udp::UdpStack* udp_stack = nullptr);
-  ~ServiceLib();
+  ~ServiceLib() override;
 
-  // Registers a VM served by this NSM. `pool` is the hugepage region shared
-  // with that VM; `vm_ip` is the address its connections use.
-  void AttachVm(uint8_t vm_id, shm::HugepagePool* pool, netsim::IpAddr vm_ip);
-  void DetachVm(uint8_t vm_id);
-
-  // Per-VM mirror of Shutdown() for nkguard quarantine: tears down exactly
-  // one VM's NSM-side state — its stream connections aborted (zc frees
-  // fire), dgram sockets closed, its NQEs swept out of the device rings with
-  // payload chunks returned to its pool, orphan sends freed — while every
-  // co-tenant's connections and ring entries stay untouched. The VmInfo
-  // entry is kept (marked evicted) so stragglers already charged to a stack
-  // core unwind their chunks into the pool instead of leaking; a later
-  // AttachVm reinstates the VM cleanly.
-  void EvictVm(uint8_t vm_id);
-
-  // Kills this NSM with recoverable accounting: call after the device was
-  // deregistered from CoreEngine. Every connection is aborted (firing the
-  // exactly-once free callbacks of zc chunks still queued in the stack),
-  // datagram sockets close (freeing pool-landed datagrams), queued NQEs in
-  // the now-unreachable device rings are drained and their payload chunks
-  // returned to the owning VM pools. After Shutdown, every hugepage chunk
-  // this NSM ever touched is either back in its pool or owned by the guest —
-  // nothing strands in dead rings. Idempotent, and safe to race with an
-  // in-flight dispatch round: NQEs already charged to a stack core when the
-  // teardown runs are unwound (chunks freed) instead of dispatched against
-  // dead connection state.
-  void Shutdown();
-
-  // ---- Liveness (failover detection inputs) ----
-  // Periodically reports this NSM alive to CoreEngine (CeOp::kHeartbeat).
-  // The beat self-cancels on Shutdown or Wedge — a dead or stalled NSM goes
-  // silent, which is exactly what the failover controller watches for.
-  void StartHeartbeat(SimTime period);
-  void StopHeartbeat();
-  // Chaos hook: the NSM stays registered but stops consuming its rings and
-  // stops heartbeating — the "alive process, stalled datapath" failure mode.
-  // Backlog piles up in the device's job/send rings until the controller
-  // declares it wedged and fails it over.
-  void Wedge();
-  bool wedged() const { return wedged_; }
-  uint64_t heartbeats_sent() const { return heartbeats_sent_; }
-
-  // Shared-memory receive credit: GuestLib freed `bytes` of a chunk.
-  void OnRecvCredit(uint8_t vm_id, uint32_t vm_sock, uint32_t bytes);
+  void AttachVm(uint8_t vm_id, shm::HugepagePool* pool, netsim::IpAddr vm_ip) override;
+  void OnRecvCredit(uint8_t vm_id, uint32_t vm_sock, uint32_t bytes) override;
 
   // Overrides congestion control for all (future) connections of a VM —
   // the hook the FairShare NSM uses (§6.2).
@@ -102,14 +58,6 @@ class ServiceLib {
 
   tcp::TcpStack* stack() { return stack_; }
   udp::UdpStack* udp_stack() { return udp_stack_; }
-  uint8_t nsm_id() const { return nsm_id_; }
-  uint64_t nqes_processed() const { return nqes_processed_; }
-  // NSM->VM NQEs lost to a full NSM-side ring (severe overload).
-  uint64_t nqes_dropped() const { return nqes_dropped_; }
-  // Inbound NQEs refused by the guest->nsm prefilter (defense in depth
-  // behind nkguard — nonzero means something got past the CoreEngine) or
-  // unwound because their VM was evicted mid-flight.
-  uint64_t guard_drops() const { return guard_drops_; }
   // RX zero-copy accounting: kRecvData ships that detached the stack's own
   // pool chunk (no rcvbuf->hugepage copy) vs ships that had to copy because
   // the pool was exhausted when the segment landed (heap fallback chunk) or
@@ -119,28 +67,10 @@ class ServiceLib {
   // Same split for datagrams (kDgramRecvZc vs copied kDgramRecv).
   uint64_t dgram_zc_ships() const { return dgram_zc_ships_; }
   uint64_t dgram_copy_ships() const { return dgram_copy_ships_; }
-  // Wakeup coalescing: CoreEngine doorbells actually rung, and enqueues that
-  // piggybacked on an already-pending doorbell (the saved wakeups).
-  uint64_t doorbells() const { return doorbell_.doorbells(); }
-  uint64_t doorbells_coalesced() const { return doorbell_.coalesced(); }
-
-  // ---- Observability (nkobs) ----
-  // Attaches the sampled lifecycle tracer: T2 (NSM-dispatch) stamps when a
-  // traced NQE enters Dispatch, T3 (completion-enqueue) when its synchronous
-  // completion rings back toward the VM.
-  void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
-  // This NSM's datapath flight recorder (zc chunk frees, ring-full drops,
-  // shutdown drains).
-  const obs::FlightRecorder& recorder() const { return recorder_; }
 
  private:
-  struct VmInfo {
-    shm::HugepagePool* pool = nullptr;
-    netsim::IpAddr ip = 0;
-    // Quarantined (EvictVm'd) VM: the entry stays so in-flight dispatch
-    // stragglers can still unwind chunks into the pool, but no new state is
-    // built and the rx allocator refuses new landings.
-    bool evicted = false;
+  // Per-VM stack plumbing, reset by every AttachVm.
+  struct VmStack {
     tcp::CcFactory cc_factory;  // optional override
     // Chunk allocator handed to the stacks so inbound bytes land directly in
     // this VM's hugepage pool (the RX zero-copy datapath). Shared by every
@@ -155,15 +85,11 @@ class ServiceLib {
     // freed only when the byte range is ACKed (kSendZcComplete).
     bool zc = false;
   };
-  struct Conn {
+  struct Conn : NsmSocket {
     tcp::SocketId sid = tcp::kInvalidSocket;
     // Datagram sockets live in the UDP stack; sid stays invalid for them.
     bool dgram = false;
     udp::SocketId usid = udp::kInvalidSocket;
-    uint8_t vm_id = 0;
-    uint8_t vm_qset = 0;
-    uint32_t vm_sock = 0;
-    uint8_t nsm_qset = 0;  // NSM device queue set serving this connection
     bool linked = false;    // guest handle known (post-accept link)
     bool listener = false;
     bool fin_sent_to_vm = false;
@@ -172,24 +98,20 @@ class ServiceLib {
     int sends_in_flight = 0;  // kSend copies charged but not yet queued
     uint64_t rx_outstanding = 0;
     std::deque<PendingTx> pending_tx;
-    bool tx_drain_pending = false;
   };
 
-  static uint64_t VmKey(uint8_t vm_id, uint32_t vm_sock) {
-    return (static_cast<uint64_t>(vm_id) << 32) | vm_sock;
-  }
+  void Dispatch(const shm::Nqe& nqe) override;
+  size_t ReleaseVmState(uint8_t vm_id, shm::HugepagePool* pool) override;
 
-  Conn* FindByVm(uint8_t vm_id, uint32_t vm_sock);
+  Conn* FindByVm(uint8_t vm_id, uint32_t vm_sock) {
+    return static_cast<Conn*>(FindSocket(vm_id, vm_sock));
+  }
   Conn* FindBySid(tcp::SocketId sid);
   Conn* FindByUsid(udp::SocketId usid);
   Conn& NewConn(uint8_t vm_id, uint8_t vm_qset, uint32_t vm_sock);
   void InstallDataCallbacks(Conn& c);
 
-  // NQE dispatch.
-  void OnDeviceWake();
-  void ProcessQueueSet(int qs);
-  void ScheduleHeartbeat();
-  void Dispatch(const shm::Nqe& nqe);
+  // NQE handlers.
   void DoSocket(const shm::Nqe& nqe);
   void DoBind(const shm::Nqe& nqe, Conn& c);
   void DoListen(const shm::Nqe& nqe, Conn& c);
@@ -207,9 +129,6 @@ class ServiceLib {
   // A zero-copy chunk that can no longer reach the stack: free it and return
   // the credit with an error status.
   void FailZcTx(const Conn& c, uint64_t ptr, uint32_t size);
-  // Returns the payload chunk of a data-carrying VM->NSM NQE to the owning
-  // VM's pool (shutdown unwinding).
-  void FreeNqeChunk(const shm::Nqe& nqe);
 
   // Datagram (SOCK_DGRAM) handlers.
   void DoSocketUdp(const shm::Nqe& nqe);
@@ -224,12 +143,6 @@ class ServiceLib {
   // VM's pool and returns the send credit via kSendToResult (orig kSendToZc).
   std::function<void()> MakeDgramZcFreeCallback(const Conn& c, uint64_t ptr, uint32_t size);
 
-  // NSM -> VM NQEs. EnqueueToVm returns false when the destination ring is
-  // full and the NQE was dropped (the caller owns any referenced chunk).
-  void Respond(const Conn& c, shm::NqeOp op, shm::NqeOp orig, int32_t result,
-               uint64_t op_data = 0);
-  bool EnqueueToVm(const Conn& c, shm::Nqe nqe, bool receive_ring);
-
   // Receive shipping (stack -> hugepages -> kRecvData NQEs).
   void ShipRecv(tcp::SocketId sid);
   // A kRecvData died at a full ring after its bytes left the stack: the
@@ -237,37 +150,18 @@ class ServiceLib {
   void DeliverErrorFin(tcp::SocketId sid);
   void AutoAccept(tcp::SocketId listener_sid);
 
-  sim::EventLoop* loop_;
-  uint8_t nsm_id_;
-  CoreEngine* ce_;
-  shm::NkDevice* dev_;
   tcp::TcpStack* stack_;
   udp::UdpStack* udp_stack_;
   Config config_;
 
-  std::unordered_map<uint8_t, VmInfo> vms_;
+  std::unordered_map<uint8_t, VmStack> vm_stacks_;
   std::unordered_map<tcp::SocketId, std::unique_ptr<Conn>> by_sid_;  // owner
   std::unordered_map<udp::SocketId, std::unique_ptr<Conn>> by_usid_;  // owner (dgram)
-  std::unordered_map<uint64_t, Conn*> by_vm_;
   std::unique_ptr<Conn> pending_owner_;  // freshly built Conn awaiting indexing
-  // kSend NQEs that arrived before their connection's accept-link NQE.
-  std::unordered_map<uint64_t, std::vector<shm::Nqe>> orphan_sends_;
-  std::vector<bool> drain_scheduled_;
-  DoorbellCoalescer doorbell_;
-  obs::Tracer* tracer_ = nullptr;
-  obs::FlightRecorder recorder_;
-  uint64_t nqes_processed_ = 0;
-  uint64_t nqes_dropped_ = 0;
-  uint64_t guard_drops_ = 0;
   uint64_t rx_zc_ships_ = 0;
   uint64_t rx_copy_ships_ = 0;
   uint64_t dgram_zc_ships_ = 0;
   uint64_t dgram_copy_ships_ = 0;
-  bool shutdown_ = false;
-  bool wedged_ = false;
-  SimTime heartbeat_period_ = 0;  // 0 = heartbeat not running
-  sim::EventHandle heartbeat_timer_;
-  uint64_t heartbeats_sent_ = 0;
   // Liveness token captured by zero-copy free callbacks held inside TcpStack
   // send buffers: the stack outlives this ServiceLib in the owning Nsm, so a
   // callback firing during stack teardown must become a no-op.

@@ -2,11 +2,8 @@
 
 #include "src/core/shm_nsm.h"
 
-#include <algorithm>
 #include <cstring>
 
-#include "src/common/check.h"
-#include "src/guard/nqe_validator.h"
 #include "src/udpstack/udp_types.h"
 
 namespace netkernel::core {
@@ -17,97 +14,19 @@ using shm::NqeOp;
 
 ShmServiceLib::ShmServiceLib(sim::EventLoop* loop, uint8_t nsm_id, CoreEngine* ce,
                              shm::NkDevice* dev, std::vector<sim::CpuCore*> cores, Config config)
-    : loop_(loop),
-      nsm_id_(nsm_id),
-      ce_(ce),
-      dev_(dev),
-      cores_(std::move(cores)),
-      config_(config),
-      drain_scheduled_(static_cast<size_t>(dev->num_queue_sets()), false),
-      doorbell_(loop, ce, nsm_id, config.coalesce_wakeups) {
-  NK_CHECK(!cores_.empty());
-  dev_->SetWakeCallback([this] { OnDeviceWake(); });
-}
+    : NsmService(loop, nsm_id, ce, dev, std::move(cores), config.costs.servicelib_translate),
+      config_(config) {}
 
 ShmServiceLib::ShmServiceLib(sim::EventLoop* loop, uint8_t nsm_id, CoreEngine* ce,
                              shm::NkDevice* dev, std::vector<sim::CpuCore*> cores)
     : ShmServiceLib(loop, nsm_id, ce, dev, std::move(cores), Config()) {}
-
-void ShmServiceLib::AttachVm(uint8_t vm_id, shm::HugepagePool* pool, netsim::IpAddr vm_ip) {
-  vms_[vm_id] = VmInfo{pool, vm_ip};
-}
-
-ShmServiceLib::Endpoint* ShmServiceLib::FindByVm(uint8_t vm_id, uint32_t vm_sock) {
-  auto it = by_vm_.find(VmKey(vm_id, vm_sock));
-  return it == by_vm_.end() ? nullptr : it->second;
-}
 
 ShmServiceLib::Endpoint* ShmServiceLib::FindByEp(uint64_t ep_id) {
   auto it = eps_.find(ep_id);
   return it == eps_.end() ? nullptr : it->second.get();
 }
 
-void ShmServiceLib::EnqueueToVm(const Endpoint& ep, Nqe nqe, bool receive_ring) {
-  nqe.vm_id = ep.vm_id;
-  nqe.queue_set = ep.vm_qset;
-  nqe.vm_sock = ep.vm_sock;
-  int qs = ep.nsm_qset < dev_->num_queue_sets() ? ep.nsm_qset : 0;
-  shm::QueueSet& q = dev_->queue_set(qs);
-  if (!(receive_ring ? q.receive : q.completion).TryEnqueue(nqe)) {
-    ++nqes_dropped_;  // severe overload; never lose an NQE without counting
-  }
-  doorbell_.Ring();
-}
-
-void ShmServiceLib::Respond(const Endpoint& ep, NqeOp op, NqeOp orig, int32_t result,
-                            uint64_t op_data) {
-  Nqe nqe = MakeNqe(op, ep.vm_id, ep.vm_qset, ep.vm_sock, op_data, 0,
-                    static_cast<uint32_t>(result));
-  nqe.reserved[0] = static_cast<uint8_t>(orig);
-  EnqueueToVm(ep, nqe, false);
-}
-
-void ShmServiceLib::OnDeviceWake() {
-  for (int qs = 0; qs < dev_->num_queue_sets(); ++qs) {
-    shm::QueueSet& q = dev_->queue_set(qs);
-    if (!q.job.Empty() || !q.send.Empty()) ProcessQueueSet(qs);
-  }
-}
-
-void ShmServiceLib::ProcessQueueSet(int qs) {
-  if (drain_scheduled_[qs]) return;
-  drain_scheduled_[qs] = true;
-  shm::QueueSet& q = dev_->queue_set(qs);
-  // Send ring first: a close() must not overtake the data (see ServiceLib).
-  Nqe buf[128];
-  size_t n = q.send.DequeueBatch(buf, 64);
-  n += q.job.DequeueBatch(buf + n, 64);
-  if (n == 0) {
-    drain_scheduled_[qs] = false;
-    return;
-  }
-  std::vector<Nqe> nqes(buf, buf + n);
-  sim::CpuCore* core = cores_[qs % cores_.size()];
-  core->Charge(config_.costs.servicelib_translate * static_cast<Cycles>(n),
-               [this, qs, nqes = std::move(nqes)]() mutable {
-                 for (Nqe& nqe : nqes) {
-                   nqe.reserved[2] = static_cast<uint8_t>(qs);
-                   Dispatch(nqe);
-                 }
-                 drain_scheduled_[qs] = false;
-                 shm::QueueSet& q2 = dev_->queue_set(qs);
-                 if (!q2.job.Empty() || !q2.send.Empty()) ProcessQueueSet(qs);
-               });
-}
-
 void ShmServiceLib::Dispatch(const Nqe& nqe) {
-  // nkguard boundary: only guest->NSM request verbs may dispatch (the
-  // CoreEngine validator already refuses everything else at ring-consume
-  // time; this is defense in depth for harnesses that bypass the switch).
-  if (!guard::IsGuestToNsmOp(nqe.Op())) {
-    ++guard_drops_;
-    return;
-  }
   switch (nqe.Op()) {
     case NqeOp::kSocket: {
       auto ep = std::make_unique<Endpoint>();
@@ -119,7 +38,7 @@ void ShmServiceLib::Dispatch(const Nqe& nqe) {
       ep->linked = true;
       Endpoint& ref = *ep;
       eps_[ref.ep_id] = std::move(ep);
-      by_vm_[VmKey(ref.vm_id, ref.vm_sock)] = &ref;
+      IndexSocket(&ref);
       Respond(ref, NqeOp::kOpResult, NqeOp::kSocket, 0, ref.ep_id);
       return;
     }
@@ -127,12 +46,7 @@ void ShmServiceLib::Dispatch(const Nqe& nqe) {
       // The shared-memory NSM carries no datagram transport; fail the socket
       // creation so the guest's SocketDgram returns an error instead of
       // blocking on a completion that would never come.
-      Endpoint tmp;
-      tmp.vm_id = nqe.vm_id;
-      tmp.vm_qset = nqe.queue_set;
-      tmp.vm_sock = nqe.vm_sock;
-      tmp.nsm_qset = nqe.reserved[2];
-      Respond(tmp, NqeOp::kOpResult, NqeOp::kSocketUdp, udp::kBadSocket);
+      Respond(ReplyTo(nqe), NqeOp::kOpResult, NqeOp::kSocketUdp, udp::kBadSocket);
       return;
     }
     case NqeOp::kAccept: {
@@ -142,14 +56,13 @@ void ShmServiceLib::Dispatch(const Nqe& nqe) {
       child->vm_qset = nqe.queue_set;
       child->vm_sock = nqe.vm_sock;
       child->linked = true;
-      by_vm_[VmKey(child->vm_id, child->vm_sock)] = child;
-      auto oit = orphan_sends_.find(VmKey(child->vm_id, child->vm_sock));
-      if (oit != orphan_sends_.end()) {
-        for (const Nqe& send_nqe : oit->second) {
+      IndexSocket(child);
+      std::vector<Nqe> orphans = TakeOrphans(child->vm_id, child->vm_sock);
+      if (!orphans.empty()) {
+        for (const Nqe& send_nqe : orphans) {
           child->pending.push_back(PendingChunk{send_nqe.data_ptr, send_nqe.size,
                                                 send_nqe.Op() == NqeOp::kSendZc});
         }
-        orphan_sends_.erase(oit);
         PumpCopy(child->ep_id);
       }
       Endpoint* peer = FindByEp(child->peer);
@@ -186,14 +99,12 @@ void ShmServiceLib::Dispatch(const Nqe& nqe) {
     case NqeOp::kRegisterDevice:
     case NqeOp::kDeregisterDevice:
     case NqeOp::kHeartbeat:
-      return;  // excluded by the IsGuestToNsmOp prefilter above
+      return;  // excluded by the NsmService::Admit prefilter
   }
 
   Endpoint* ep = FindByVm(nqe.vm_id, nqe.vm_sock);
   if (ep == nullptr) {
-    if (nqe.Op() == NqeOp::kSend || nqe.Op() == NqeOp::kSendZc) {
-      orphan_sends_[VmKey(nqe.vm_id, nqe.vm_sock)].push_back(nqe);
-    }
+    OnUnknownSocket(nqe);
     return;
   }
   switch (nqe.Op()) {
@@ -333,7 +244,7 @@ void ShmServiceLib::PumpCopy(uint64_t src_ep_id) {
   core->Charge(copy, [this, src_ep_id, chunk, doff, spool, dpool] {
     Endpoint* src2 = FindByEp(src_ep_id);
     if (src2 == nullptr) {
-      // Endpoint torn down mid-copy (DetachVm): unwind both sides — the
+      // Endpoint torn down mid-copy (EvictVm/Shutdown): unwind both sides — the
       // destination landing chunk and the still-allocated source chunk.
       dpool->Free(doff);
       if (spool->IsAllocated(chunk.ptr)) spool->Free(chunk.ptr);
@@ -372,20 +283,16 @@ void ShmServiceLib::MaybeFinishClose(uint64_t ep_id) {
   uint64_t peer_id = ep->peer;
   uint64_t key = (static_cast<uint64_t>(ep->bound_ip) << 16) | ep->bound_port;
   if (ep->listening) listeners_.erase(key);
-  by_vm_.erase(VmKey(ep->vm_id, ep->vm_sock));
+  UnindexSocket(*ep);
   eps_.erase(ep_id);
   if (peer_id != 0) DeliverFin(peer_id, 0);
 }
 
-void ShmServiceLib::DetachVm(uint8_t vm_id) {
-  auto vit = vms_.find(vm_id);
-  if (vit == vms_.end()) return;
-  shm::HugepagePool* pool = vit->second.pool;
-
-  // 1. Close the VM's endpoints: queued copy chunks return to its pool,
-  //    listener entries unlink, peers get a reset-FIN. In-flight copies
-  //    unwind in their completion lambda (src endpoint gone -> both chunks
-  //    free through the captured pool pointers).
+size_t ShmServiceLib::ReleaseVmState(uint8_t vm_id, shm::HugepagePool* pool) {
+  // Close the VM's endpoints: queued copy chunks return to its pool,
+  // listener entries unlink, peers get a reset-FIN. In-flight copies unwind
+  // in their completion lambda (src endpoint gone -> both chunks free
+  // through the captured pool pointers).
   std::vector<uint64_t> victims;
   for (auto& [id, ep] : eps_) {
     if (ep->vm_id == vm_id) victims.push_back(id);
@@ -401,59 +308,11 @@ void ShmServiceLib::DetachVm(uint8_t vm_id) {
       listeners_.erase((static_cast<uint64_t>(ep->bound_ip) << 16) | ep->bound_port);
     }
     uint64_t peer_id = ep->peer;
-    by_vm_.erase(VmKey(ep->vm_id, ep->vm_sock));
+    UnindexSocket(*ep);
     eps_.erase(id);
     if (peer_id != 0) DeliverFin(peer_id, tcp::kConnReset);
   }
-
-  // 2. Sweep the VM's NQEs out of the shared device rings; co-tenant NQEs
-  //    re-enqueue in order (full drain guarantees they fit).
-  Nqe nqe;
-  for (int qs = 0; qs < dev_->num_queue_sets(); ++qs) {
-    shm::QueueSet& q = dev_->queue_set(qs);
-    const auto sweep = [&](shm::SpscRing<Nqe>& ring, auto reclaim) {
-      std::vector<Nqe> keep;
-      while (ring.TryDequeue(&nqe)) {
-        if (nqe.vm_id == vm_id) {
-          ++guard_drops_;
-          reclaim(nqe);
-        } else {
-          keep.push_back(nqe);
-        }
-      }
-      for (const Nqe& k : keep) NK_CHECK(ring.TryEnqueue(k));
-    };
-    const auto free_send_chunk = [&](const Nqe& n) {
-      NqeOp op = n.Op();
-      if ((op == NqeOp::kSend || op == NqeOp::kSendZc || op == NqeOp::kSendTo ||
-           op == NqeOp::kSendToZc) &&
-          pool->IsAllocated(n.data_ptr)) {
-        pool->Free(n.data_ptr);
-      }
-    };
-    sweep(q.send, free_send_chunk);
-    sweep(q.job, free_send_chunk);
-    sweep(q.receive, [&](const Nqe& n) {
-      if (n.Op() == NqeOp::kRecvData && pool->IsAllocated(n.data_ptr)) {
-        pool->Free(n.data_ptr);
-      }
-    });
-    sweep(q.completion, [&](const Nqe&) {});
-  }
-
-  // 3. Orphan sends parked for an accept-link that will never arrive.
-  for (auto it = orphan_sends_.begin(); it != orphan_sends_.end();) {
-    if (static_cast<uint8_t>(it->first >> 32) == vm_id) {
-      for (const Nqe& orphan : it->second) {
-        if (pool->IsAllocated(orphan.data_ptr)) pool->Free(orphan.data_ptr);
-      }
-      it = orphan_sends_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-
-  vms_.erase(vit);
+  return victims.size();
 }
 
 void ShmServiceLib::OnRecvCredit(uint8_t vm_id, uint32_t vm_sock, uint32_t bytes) {

@@ -14,8 +14,9 @@
 // and mirrors the machine-readable protocol contract annotated in
 // src/shm/nqe.h (`guard=send|job` keys); tools/nklint's guard-coverage check
 // cross-references the two so the admission tables here cannot drift from
-// the contract. ServiceLib/ShmServiceLib additionally apply the
-// IsGuestToNsmOp() prefilter on their consume path as defense in depth.
+// the contract. The NSM front-end (NsmService, shared by every NSM kind)
+// additionally applies the IsGuestToNsmOp() prefilter on its consume path as
+// defense in depth.
 //
 // Checks, in order, per inbound guest NQE:
 //   identity   vm_id/queue_set must match the device+ring the NQE was

@@ -1,10 +1,11 @@
 // Copyright (c) NetKernel reproduction authors.
 // NSM failover controller: heartbeat liveness, wedged detection, standby
-// re-homing, and the ServiceLib::Shutdown() idempotency/race contract the
-// controller depends on.
+// re-homing (stack-backed and shared-memory NSMs alike), and the
+// NsmService::Shutdown() idempotency/race contract the controller depends on.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -54,6 +55,29 @@ sim::Task<void> StreamPump(Vm* vm, netsim::IpAddr dst, uint16_t port,
       *errored = true;
       break;
     }
+  }
+  co_await api.Close(cpu, fd);
+  *returned = true;
+}
+
+// Zero-copy twin of StreamPump: sends pool loans until the socket errors or
+// `*stop` is set, then closes.
+sim::Task<void> ZcStreamPump(Vm* vm, netsim::IpAddr dst, uint16_t port,
+                             std::shared_ptr<bool> stop, bool* returned) {
+  SocketApi& api = vm->api();
+  sim::CpuCore* cpu = vm->vcpu(0);
+  int fd = co_await api.Socket(cpu);
+  EXPECT_GE(fd, 0);
+  if (fd < 0) co_return;
+  int cr = co_await api.Connect(cpu, fd, dst, port);
+  EXPECT_EQ(cr, 0);
+  if (cr != 0) co_return;
+  while (!*stop) {
+    core::NkBuf loan;
+    if (0 != co_await api.AcquireTxBuf(cpu, fd, 8192, &loan)) break;
+    loan.size = loan.capacity;
+    std::memset(loan.data, 0x5a, loan.size);
+    if (co_await api.SendBuf(cpu, fd, loan) <= 0) break;
   }
   co_await api.Close(cpu, fd);
   *returned = true;
@@ -300,6 +324,60 @@ TEST(Failover, ControllerDetectsWedgedNsmAndFailsOver) {
   EXPECT_EQ(fs.reconnects_required, 1u) << "host FIN count pairs with guest count";
   EXPECT_EQ(t.nk->pool()->bytes_in_use(), 0u);
   EXPECT_EQ(t.nk->pool()->allocs(), t.nk->pool()->frees());
+}
+
+TEST(Failover, ControllerFailsOverWedgedShmNsmAndReturnsItsChunks) {
+  Host::ResetIpAllocator();
+  sim::EventLoop loop;
+  netsim::Fabric fabric(&loop);
+  Host host(&loop, &fabric, "host");
+  Nsm* shm_nsm = host.CreateNsm("shm", 2, NsmKind::kShm);
+  Vm* a = host.CreateNetkernelVm("a", 2, shm_nsm);
+  Vm* b = host.CreateNetkernelVm("b", 2, shm_nsm);
+
+  // Colocated traffic through the shared-memory NSM: one zero-copy and one
+  // copying stream, so both chunk paths are in flight at the wedge.
+  apps::StreamStats zc_sink, copy_sink;
+  apps::StartStreamSink(b, 9000, &zc_sink, 1, 0, /*zerocopy=*/true);
+  apps::StartStreamSink(b, 9001, &copy_sink, 1, 1);
+  auto stop = std::make_shared<bool>(false);
+  bool zc_returned = false, copy_errored = false, copy_returned = false;
+  sim::Spawn(ZcStreamPump(a, b->ip(), 9000, stop, &zc_returned));
+  sim::Spawn(StreamPump(a, b->ip(), 9001, stop, &copy_errored, &copy_returned));
+
+  Nsm* spare = host.CreateNsm("spare", 2, NsmKind::kKernel);
+  host.SetStandbyNsm(spare);
+  Host::FailoverConfig cfg;
+  host.StartFailoverController(cfg);
+  // The connects race the sinks' listens; the shm NSM retries them 5 ms on.
+  loop.Run(loop.Now() + 20 * kMillisecond);
+  EXPECT_EQ(host.failover_stats().nsm_failovers, 0u) << "healthy shm NSM must not be flagged";
+  EXPECT_GT(shm_nsm->service()->heartbeats_sent(), 100u);
+  EXPECT_GT(zc_sink.bytes_received, 0u);
+  EXPECT_GT(copy_sink.bytes_received, 0u);
+  ASSERT_GT(a->pool()->chunks_in_use(), 0u) << "no chunks in flight at the wedge";
+
+  shm_nsm->service()->Wedge();
+  loop.Run(loop.Now() + 5 * kMillisecond);
+  host.StopFailoverController();
+
+  const Host::FailoverStats& fs = host.failover_stats();
+  EXPECT_EQ(fs.nsm_failovers, 1u);
+  EXPECT_EQ(fs.wedged_detections, 1u) << "silent shm NSM with backlog must be flagged wedged";
+  EXPECT_EQ(fs.vms_rehomed, 2u);
+  EXPECT_EQ(a->nsm(), spare);
+  EXPECT_EQ(b->nsm(), spare);
+
+  // Every chunk the dead NSM held (queued copies, ring entries, receive data
+  // shipped toward a guest) is back in its pool once the guests close.
+  *stop = true;
+  loop.Run(loop.Now() + 50 * kMillisecond);
+  EXPECT_TRUE(zc_returned);
+  EXPECT_TRUE(copy_returned);
+  for (Vm* vm : {a, b}) {
+    EXPECT_EQ(vm->pool()->chunks_in_use(), 0u) << vm->name() << " leaked chunks";
+    EXPECT_EQ(vm->pool()->allocs(), vm->pool()->frees()) << vm->name();
+  }
 }
 
 TEST(Failover, MetricsAndFlightEventsAreEmitted) {

@@ -1,8 +1,9 @@
 // Copyright (c) NetKernel reproduction authors.
 // nkguard suite: NqeValidator admission/verdict unit tests, the guest-flag
-// scrub regression, policy semantics, and the full quarantine lifecycle on a
-// live two-tenant topology (in-flight chunks reclaimed, co-tenant
-// undisturbed, un-quarantine re-registers cleanly).
+// scrub regression, policy semantics, and the full quarantine lifecycle on
+// live two-tenant topologies behind a stack-backed and a shared-memory NSM
+// (in-flight chunks reclaimed, co-tenant undisturbed, un-quarantine
+// re-registers cleanly).
 
 #include <gtest/gtest.h>
 
@@ -377,6 +378,73 @@ TEST(NkGuard, QuarantineReclaimsChunksSparesCoTenantAndUnwindsCleanly) {
     EXPECT_EQ(vm->pool()->allocs(), vm->pool()->frees()) << vm->name();
   }
   EXPECT_EQ(host_a.ce().validator().stats().quarantines, 1u);
+}
+
+TEST(NkGuard, QuarantineOnSharedMemoryNsmReclaimsChunksAndSparesCoTenant) {
+  Host::ResetIpAllocator();
+  sim::EventLoop loop;
+  netsim::Fabric fabric(&loop);
+  Host host(&loop, &fabric, "host");
+  Nsm* nsm = host.CreateNsm("shm", 2, NsmKind::kShm);
+  Vm* offender = host.CreateNetkernelVm("offender", 2, nsm);
+  Vm* tenant = host.CreateNetkernelVm("tenant", 2, nsm);
+  Vm* sink = host.CreateNetkernelVm("sink", 2, nsm);
+
+  // Both tenants stream pool-to-pool into a third colocated VM.
+  auto off_fds = std::make_shared<std::vector<int>>();
+  auto ten_fds = std::make_shared<std::vector<int>>();
+  auto probe_fds = std::make_shared<std::vector<int>>();
+  apps::StreamStats sink_off, sink_ten, sink_probe;
+  apps::StartStreamSink(sink, 9000, &sink_off, 1, 0);
+  apps::StartStreamSink(sink, 9001, &sink_ten, 1, 1);
+  apps::StartStreamSink(sink, 9002, &sink_probe, 1, 0);
+  // Budgets outlast the test: pool-to-pool copies move ~10 MiB per ms.
+  sim::Spawn(StreamSender(offender, sink->ip(), 9000, 4096 * kMiB, off_fds.get()));
+  sim::Spawn(StreamSender(tenant, sink->ip(), 9001, 4096 * kMiB, ten_fds.get()));
+  // The connects race the sinks' listens; the shm NSM retries them 5 ms on.
+  loop.Run(loop.Now() + 20 * kMillisecond);
+  ASSERT_GT(sink_off.bytes_received, 0u);
+  const uint64_t in_flight = offender->pool()->chunks_in_use();
+  ASSERT_GT(in_flight, 1u) << "no chunks in flight to reclaim";
+
+  host.QuarantineVm(offender);
+  EXPECT_TRUE(offender->quarantined());
+  loop.Run(loop.Now() + 5 * kMillisecond);
+  // The NSM gave back every chunk it held for the offender (queued copies,
+  // ring entries, in-flight copies). What is still out is the guest's own:
+  // sends it queued into its now-unpolled device rings, plus at most the
+  // loan the sender coroutine acquired but never submitted.
+  size_t guest_queued = 0;
+  for (int qs = 0; qs < offender->dev()->num_queue_sets(); ++qs) {
+    guest_queued += offender->dev()->queue_set(qs).send.Size();
+  }
+  EXPECT_LE(offender->pool()->chunks_in_use(), guest_queued + 1);
+
+  // The co-tenant keeps moving bytes while the offender is dark.
+  const uint64_t tenant_before = sink_ten.bytes_received;
+  const uint64_t offender_before = host.ce().VmStats(offender->id()).switched;
+  loop.Run(loop.Now() + 20 * kMillisecond);
+  EXPECT_GT(sink_ten.bytes_received, tenant_before)
+      << "co-tenant stalled while the offender was quarantined";
+  EXPECT_EQ(host.ce().VmStats(offender->id()).switched, offender_before);
+
+  // Un-quarantine re-attaches the offender to the same shm NSM: a fresh
+  // stream to the sink goes through end to end.
+  host.UnquarantineVm(offender);
+  EXPECT_FALSE(offender->quarantined());
+  sim::Spawn(StreamSender(offender, sink->ip(), 9002, 1 * kMiB, probe_fds.get()));
+  loop.Run(loop.Now() + 20 * kMillisecond);
+  EXPECT_GE(sink_probe.bytes_received, 1 * kMiB)
+      << "un-quarantined VM could not stream through the shm NSM";
+
+  sim::Spawn(CloseAll(offender, probe_fds.get()));
+  sim::Spawn(CloseAll(offender, off_fds.get()));
+  sim::Spawn(CloseAll(tenant, ten_fds.get()));
+  loop.Run(loop.Now() + 150 * kMillisecond);
+  for (Vm* vm : {offender, tenant, sink}) {
+    EXPECT_EQ(vm->pool()->chunks_in_use(), 0u) << vm->name() << " leaked chunks";
+    EXPECT_EQ(vm->pool()->allocs(), vm->pool()->frees()) << vm->name();
+  }
 }
 
 }  // namespace

@@ -552,5 +552,31 @@ TEST_F(ObsHostTest, FlightRecorderSeesRealDatapathEvents) {
   EXPECT_NE(dump.find("flight recorder"), std::string::npos) << dump;
 }
 
+TEST_F(ObsHostTest, SharedMemoryNsmExportsTheSharedSvcSurface) {
+  Host& h = TheHost();
+  Nsm* nsm = h.CreateNsm("shm", 2, NsmKind::kShm);
+  Vm* server = h.CreateNetkernelVm("server", 1, nsm);
+  Vm* client = h.CreateNetkernelVm("client", 1, nsm);
+  bool ok = false;
+  sim::Spawn(ObsEchoServer(server, 7000, 1));
+  sim::Spawn(ObsEchoClient(client, server->ip(), 7000, 64 * 1024, &ok));
+  Run(5 * kSecond);
+  ASSERT_TRUE(ok);
+  // An eviction is a flight event on the NSM's own recorder.
+  h.QuarantineVm(client);
+
+  MetricsRegistry reg;
+  h.BuildMetricsRegistry(&reg);
+  EXPECT_GT(reg.Value("nsm1.svc.nqes_processed"), 0.0);
+  EXPECT_GT(reg.Value("nsm1.svc.bytes_copied"), 0.0);
+  EXPECT_GE(reg.Value("nsm1.svc.flight_events"), 1.0);
+  std::string json = h.DumpMetricsJson();
+  EXPECT_NE(json.find("\"nsm1.svc.nqes_processed\""), std::string::npos);
+  EXPECT_NE(json.find("\"nsm1.svc.flight_events\""), std::string::npos);
+  EXPECT_NE(json.find("\"nsm1.svc.heartbeats_sent\""), std::string::npos);
+  // The merged flight dump includes the shm NSM's recorder.
+  EXPECT_NE(h.DumpFlightRecorder(16).find("nsm1.svc"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace netkernel

@@ -25,6 +25,8 @@ constexpr const char* kNqeHeader = "src/shm/nqe.h";
 constexpr const char* kNqeNames = "src/shm/nqe.cc";
 constexpr const char* kCoreEngine = "src/core/coreengine.cc";
 constexpr const char* kGuestLib = "src/core/guestlib.cc";
+// The NSM transports' Dispatch switches; the shared front-end in
+// src/core/nsm_service.cc only prefilters and forwards to them.
 constexpr const char* kDispatchFiles[] = {"src/core/servicelib.cc", "src/core/shm_nsm.cc"};
 constexpr const char* kFlightHeader = "src/obs/flight_recorder.h";
 constexpr const char* kFlightNames = "src/obs/flight_recorder.cc";

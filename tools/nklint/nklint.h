@@ -1,9 +1,9 @@
 // Copyright (c) NetKernel reproduction authors.
 // nklint: static checker for the NQE protocol contract.
 //
-// The NQE protocol spans five subsystems (GuestLib, CoreEngine,
-// ServiceLib/ShmServiceLib, nkobs, the fault-injection suite) that must agree
-// op-by-op on routing, completion pairing, chunk/credit reclaim, and
+// The NQE protocol spans five subsystems (GuestLib, CoreEngine, the NSM
+// front-end and its transports, nkobs, the fault-injection suite) that must
+// agree op-by-op on routing, completion pairing, chunk/credit reclaim, and
 // observability coverage. nklint reads the machine-readable annotations on
 // the NqeOp enumerators in src/shm/nqe.h (grammar documented there) and
 // cross-checks them against the actual case labels, routing mentions, and
@@ -16,7 +16,8 @@
 //                      `// nklint:` annotation
 //   op-name            every enumerator has a NqeOpName case in src/shm/nqe.cc
 //   op-routing         dir=guest->nsm ops are mentioned by CoreEngine and
-//                      dispatched by ServiceLib or ShmServiceLib;
+//                      dispatched by an NSM transport's Dispatch switch
+//                      (ServiceLib or ShmServiceLib);
 //                      dir=nsm->guest ops are reaped by GuestLib (receive-ring
 //                      ops additionally classified by CoreEngine);
 //                      dir=control ops are referenced somewhere in src/core/
