@@ -12,6 +12,29 @@ using shm::MakeNqe;
 using shm::Nqe;
 using shm::NqeOp;
 
+namespace {
+
+// The PerVmStats counter a VmStatField selects. kBytesKiB selects the raw
+// byte count; only the saturating 32-bit query scales it to KiB.
+uint64_t PerVmStats::*VmStatCounter(VmStatField field) {
+  switch (field) {
+    case VmStatField::kSwitched:
+      return &PerVmStats::switched;
+    case VmStatField::kDropped:
+      return &PerVmStats::dropped;
+    case VmStatField::kThrottled:
+      return &PerVmStats::throttled;
+    case VmStatField::kBytesKiB:
+      return &PerVmStats::bytes;
+    case VmStatField::kDeferred:
+      return &PerVmStats::deferred;
+  }
+  NK_CHECK(false);  // HandleControlMessage range-checks guest selectors
+  return nullptr;
+}
+
+}  // namespace
+
 // ===========================================================================
 // CoreEngine facade: construction, registries, placement, control plane.
 // ===========================================================================
@@ -186,58 +209,16 @@ bool CoreEngine::AssignQueueSetToShard(uint8_t vm_id, uint8_t qset, int shard) {
 }
 
 uint64_t CoreEngine::QueryVmStat(uint8_t vm_id, VmStatField field) const {
-  PerVmStats s = VmStats(vm_id);
-  switch (field) {
-    case VmStatField::kSwitched:
-      return s.switched;
-    case VmStatField::kDropped:
-      return s.dropped;
-    case VmStatField::kThrottled:
-      return s.throttled;
-    case VmStatField::kBytesKiB:
-      return s.bytes >> 10;
-    case VmStatField::kDeferred:
-      return s.deferred;
-  }
-  return 0;
+  const uint64_t raw = QueryVmStatRaw(vm_id, field);
+  return field == VmStatField::kBytesKiB ? raw >> 10 : raw;
 }
 
 uint64_t CoreEngine::QueryVmStatRaw(uint8_t vm_id, VmStatField field) const {
-  PerVmStats s = VmStats(vm_id);
-  switch (field) {
-    case VmStatField::kSwitched:
-      return s.switched;
-    case VmStatField::kDropped:
-      return s.dropped;
-    case VmStatField::kThrottled:
-      return s.throttled;
-    case VmStatField::kBytesKiB:
-      return s.bytes;  // raw bytes: the wide path has the range for it
-    case VmStatField::kDeferred:
-      return s.deferred;
-  }
-  return 0;
+  return VmStats(vm_id).*VmStatCounter(field);
 }
 
 void CoreEngine::AddVmStatForTest(uint8_t vm_id, VmStatField field, uint64_t delta) {
-  PerVmStats& pv = shards_[0]->stats_.per_vm[vm_id];
-  switch (field) {
-    case VmStatField::kSwitched:
-      pv.switched += delta;
-      break;
-    case VmStatField::kDropped:
-      pv.dropped += delta;
-      break;
-    case VmStatField::kThrottled:
-      pv.throttled += delta;
-      break;
-    case VmStatField::kBytesKiB:
-      pv.bytes += delta;
-      break;
-    case VmStatField::kDeferred:
-      pv.deferred += delta;
-      break;
-  }
+  shards_[0]->stats_.per_vm[vm_id].*VmStatCounter(field) += delta;
 }
 
 std::vector<const obs::FlightRecorder*> CoreEngine::FlightRecorders() const {
@@ -354,14 +335,7 @@ CoreEngineStats CoreEngine::stats() const {
     agg.nqes_dropped += st.nqes_dropped;
     agg.deliveries_deferred += st.deliveries_deferred;
     agg.qset_migrations += st.qset_migrations;
-    for (const auto& [vm, pv] : st.per_vm) {
-      PerVmStats& a = agg.per_vm[vm];
-      a.switched += pv.switched;
-      a.dropped += pv.dropped;
-      a.throttled += pv.throttled;
-      a.bytes += pv.bytes;
-      a.deferred += pv.deferred;
-    }
+    for (const auto& [vm, pv] : st.per_vm) agg.per_vm[vm] += pv;
   }
   return agg;
 }
@@ -370,25 +344,14 @@ PerVmStats CoreEngine::VmStats(uint8_t vm_id) const {
   PerVmStats out;
   for (const auto& s : shards_) {
     auto it = s->stats_.per_vm.find(vm_id);
-    if (it == s->stats_.per_vm.end()) continue;
-    out.switched += it->second.switched;
-    out.dropped += it->second.dropped;
-    out.throttled += it->second.throttled;
-    out.bytes += it->second.bytes;
-    out.deferred += it->second.deferred;
+    if (it != s->stats_.per_vm.end()) out += it->second;
   }
   return out;
 }
 
-size_t CoreEngine::ConnectionTableSize() const {
+size_t CoreEngine::SocketTableSize() const {
   size_t n = 0;
-  for (const auto& s : shards_) n += s->conn_table_.size();
-  return n;
-}
-
-size_t CoreEngine::DgramTableSize() const {
-  size_t n = 0;
-  for (const auto& s : shards_) n += s->dgram_table_.size();
+  for (const auto& s : shards_) n += s->socket_table_.size();
   return n;
 }
 
@@ -409,36 +372,8 @@ int CoreEngine::ShardOfNsmQset(uint8_t nsm_id, uint8_t qset) const {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-shard plumbing: completion handshake, weighted park drain, handoff.
+// Cross-shard plumbing: weighted park drain, handoff.
 // ---------------------------------------------------------------------------
-
-void CoreEngine::CompleteConnHandshake(const Nqe& nqe, Cycles& cost) {
-  const uint64_t key = ConnKey(nqe.vm_id, nqe.vm_sock);
-  int owner = ShardOfVmQset(nqe.vm_id, nqe.queue_set);
-  if (owner >= 0) {
-    auto& table = shards_[static_cast<size_t>(owner)]->conn_table_;
-    auto eit = table.find(key);
-    if (eit != table.end()) {
-      if (!eit->second.complete) {
-        eit->second.nsm_sock = nqe.op_data;
-        eit->second.complete = true;
-        cost += config_.costs.ce_table_lookup;
-      }
-      return;
-    }
-  }
-  // Rare: the entry's queue set migrated mid-handshake. Scan the shards.
-  for (auto& s : shards_) {
-    auto eit = s->conn_table_.find(key);
-    if (eit == s->conn_table_.end()) continue;
-    if (!eit->second.complete) {
-      eit->second.nsm_sock = nqe.op_data;
-      eit->second.complete = true;
-      cost += config_.costs.ce_table_lookup;
-    }
-    return;
-  }
-}
 
 size_t CoreEngine::DrainParked(shm::NkDevice* dev, std::vector<shm::NkDevice*>& to_wake) {
   const size_t n = shards_.size();
@@ -518,18 +453,10 @@ void CoreEngine::MigrateVmQset(uint8_t vm_id, uint8_t qset, CoreEngineShard* fro
   from->RemoveVmQset(vm_id, qset);
   to->AddVmQset(vm_id, qset);
   // Table entries routed through the queue set travel with it.
-  for (auto it = from->conn_table_.begin(); it != from->conn_table_.end();) {
+  for (auto it = from->socket_table_.begin(); it != from->socket_table_.end();) {
     if (static_cast<uint8_t>(it->first >> 32) == vm_id && it->second.vm_qset == qset) {
-      to->conn_table_.emplace(it->first, it->second);
-      it = from->conn_table_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = from->dgram_table_.begin(); it != from->dgram_table_.end();) {
-    if (static_cast<uint8_t>(it->first >> 32) == vm_id && it->second.vm_qset == qset) {
-      to->dgram_table_.emplace(it->first, it->second);
-      it = from->dgram_table_.erase(it);
+      to->socket_table_.emplace(it->first, it->second);
+      it = from->socket_table_.erase(it);
     } else {
       ++it;
     }
@@ -612,11 +539,8 @@ void CoreEngineShard::RemoveVm(uint8_t vm_id, shm::NkDevice* dev) {
   // Parked deliveries to the dead device would dangle; the VM is gone, so
   // there is no guest to return completions to — count and discard.
   if (dev != nullptr) PurgePark(dev, /*synthesize_errors=*/false);
-  for (auto it = conn_table_.begin(); it != conn_table_.end();) {
-    it = (it->first >> 32) == vm_id ? conn_table_.erase(it) : std::next(it);
-  }
-  for (auto it = dgram_table_.begin(); it != dgram_table_.end();) {
-    it = (it->first >> 32) == vm_id ? dgram_table_.erase(it) : std::next(it);
+  for (auto it = socket_table_.begin(); it != socket_table_.end();) {
+    it = (it->first >> 32) == vm_id ? socket_table_.erase(it) : std::next(it);
   }
   sched_.erase(vm_id);
   vm_rr_order_.erase(std::remove(vm_rr_order_.begin(), vm_rr_order_.end(), vm_id),
@@ -646,28 +570,26 @@ size_t CoreEngineShard::RemoveNsm(uint8_t nsm_id, shm::NkDevice* dev) {
   // boundary, so dropping the entry lets the next datagram op re-home to the
   // VM's current NSM.
   std::vector<Delivery> fins;
-  for (auto it = conn_table_.begin(); it != conn_table_.end();) {
-    if (it->second.nsm_id != nsm_id) {
+  for (auto it = socket_table_.begin(); it != socket_table_.end();) {
+    const SocketEntry& e = it->second;
+    if (e.nsm_id != nsm_id) {
       ++it;
       continue;
     }
     uint8_t vm_id = static_cast<uint8_t>(it->first >> 32);
     uint32_t vm_sock = static_cast<uint32_t>(it->first);
     CoreEngine::VmReg* reg = engine_->FindVm(vm_id);
-    if (reg != nullptr && reg->dev != nullptr) {
+    if (!e.dgram && reg != nullptr && reg->dev != nullptr) {
       Delivery d;
       d.dst = reg->dev;
-      d.qset = it->second.vm_qset < d.dst->num_queue_sets() ? it->second.vm_qset : 0;
+      d.qset = e.vm_qset < d.dst->num_queue_sets() ? e.vm_qset : 0;
       d.ring = shm::RingKind::kReceive;
       d.toward_vm = true;
-      d.nqe = MakeNqe(NqeOp::kFinReceived, vm_id, it->second.vm_qset, vm_sock, 0, 0,
+      d.nqe = MakeNqe(NqeOp::kFinReceived, vm_id, e.vm_qset, vm_sock, 0, 0,
                       static_cast<uint32_t>(kCeNetUnreach));
       PlanDelivery(d, fins);
     }
-    it = conn_table_.erase(it);
-  }
-  for (auto it = dgram_table_.begin(); it != dgram_table_.end();) {
-    it = it->second.nsm_id == nsm_id ? dgram_table_.erase(it) : std::next(it);
+    it = socket_table_.erase(it);
   }
   if (!fins.empty()) DeliverPlan(fins);
   return fins.size();
@@ -760,42 +682,34 @@ uint64_t CoreEngineShard::PollVm(uint8_t vm_id, VmSched& vs, uint64_t limit,
     shm::QueueSet& q = reg->dev->queue_set(qsi);
     // Send ring before job ring: a close NQE must not overtake the data
     // NQEs the guest enqueued before it.
-    obs::Tracer* tracer = engine_->tracer_;
-    if (!*send_blocked) {
-      while (taken < limit && q.send.Peek(&nqe)) {
+    for (const bool from_send : {true, false}) {
+      shm::SpscRing<Nqe>& ring = from_send ? q.send : q.job;
+      bool* blocked = from_send ? send_blocked : job_blocked;
+      while (!*blocked && taken < limit && ring.Peek(&nqe)) {
+        // A send ring held back by a token bucket or backpressure keeps
+        // data queued behind which a job-ring kClose would otherwise slip
+        // (and the late sends would re-create the erased table entry). The
+        // close waits for a later round; other queue sets keep draining.
+        if (!from_send && nqe.Op() == NqeOp::kClose && !q.send.Empty()) break;
         // nkguard admission on the peeked copy: what routes (and what any
         // reject answers) is the scrubbed, identity-pinned NQE, never raw
         // guest-written ring bytes. A reject consumes the NQE here and still
         // spends deficit + CPU — the offender pays for its own garbage.
-        if (!GuardAdmit(&nqe, &q.send, true, vm_id, qsi, plan, cost)) {
+        if (!GuardAdmit(&nqe, &ring, from_send, vm_id, qsi, plan, cost)) {
           ++taken;
           continue;
         }
-        if (!RouteVmNqe(nqe, true, plan, cost, retry_at)) {
-          *send_blocked = true;
+        if (!RouteVmNqe(nqe, from_send, plan, cost, retry_at)) {
+          *blocked = true;
           break;
         }
-        q.send.TryDequeue(&nqe);
+        ring.TryDequeue(&nqe);
         if (validator.enabled()) validator.CommitGuestNqe(vm_id, nqe);
         // T1 lifecycle stamp (sampled NQEs only); the stamp's modeled cost
         // rides the round's CPU charge like any other switching work.
-        if (tracer != nullptr) cost += tracer->OnCeDequeue(nqe, static_cast<uint32_t>(index_));
-        ++taken;
-      }
-    }
-    if (!*job_blocked) {
-      while (taken < limit && q.job.Peek(&nqe)) {
-        if (!GuardAdmit(&nqe, &q.job, false, vm_id, qsi, plan, cost)) {
-          ++taken;
-          continue;
+        if (obs::Tracer* tracer = engine_->tracer_) {
+          cost += tracer->OnCeDequeue(nqe, static_cast<uint32_t>(index_));
         }
-        if (!RouteVmNqe(nqe, false, plan, cost, retry_at)) {
-          *job_blocked = true;
-          break;
-        }
-        q.job.TryDequeue(&nqe);
-        if (validator.enabled()) validator.CommitGuestNqe(vm_id, nqe);
-        if (tracer != nullptr) cost += tracer->OnCeDequeue(nqe, static_cast<uint32_t>(index_));
         ++taken;
       }
     }
@@ -813,7 +727,7 @@ uint8_t CoreEngineShard::ChooseNsmQset(uint8_t nsm_id, const shm::NkDevice* ndev
     return it->second[CoreEngine::HashSpread(key, it->second.size())];
   }
   // This shard owns none of that NSM's queue sets (fewer sets than shards):
-  // spread globally; completions cross shards via the facade handshake.
+  // spread globally; the shard polling the chosen set routes the responses.
   return static_cast<uint8_t>(
       CoreEngine::HashSpread(key, static_cast<size_t>(ndev->num_queue_sets())));
 }
@@ -894,47 +808,50 @@ bool CoreEngineShard::RouteVmNqe(const Nqe& nqe, bool from_send_ring,
     return false;
   }
 
-  switch (RouteDgramNqe(nqe, from_send_ring, plan, cost)) {
-    case DgramRoute::kClaimed:
-      return true;
-    case DgramRoute::kDeferred:
-      return false;
-    case DgramRoute::kNotDgram:
-      break;
-  }
-
-  uint64_t key = CoreEngine::ConnKey(nqe.vm_id, nqe.vm_sock);
-  auto op = nqe.Op();
-  ConnEntry* entry = nullptr;
-  auto eit = conn_table_.find(key);
-  if (eit != conn_table_.end()) entry = &eit->second;
-
-  if (entry == nullptr) {
-    // New connection: map to the VM's current NSM (Fig 6 step 1-2).
+  const uint64_t key = CoreEngine::SocketKey(nqe.vm_id, nqe.vm_sock);
+  const NqeOp op = nqe.Op();
+  auto it = socket_table_.find(key);
+  if (it != socket_table_.end()) {
+    cost += config.costs.ce_table_lookup;
+  } else {
+    // Unknown socket: the VM's current NSM serves it (Fig 6 step 1-2).
     shm::NkDevice* ndev = reg->has_nsm ? engine_->FindNsm(reg->nsm_id) : nullptr;
     if (ndev == nullptr) return FailVmNqe(nqe, plan);  // no NSM to serve it
-    ConnEntry e;
+    if (op == NqeOp::kBindUdp || op == NqeOp::kSendTo || op == NqeOp::kSendToZc ||
+        op == NqeOp::kRecvFrom) {
+      // Datagram op on a socket the table does not hold (its NSM was
+      // deregistered, or the guest already closed it). Forward statelessly,
+      // re-homing the flow: the NSM side owns the hugepage accounting and
+      // must see the NQE to release its payload.
+      if (Backpressured(ndev)) return false;
+      Delivery d;
+      d.dst = ndev;
+      d.qset = ChooseNsmQset(reg->nsm_id, ndev, key);
+      d.ring = from_send_ring ? shm::RingKind::kSend : shm::RingKind::kJob;
+      d.nqe = nqe;
+      PlanDelivery(d, plan);
+      ++stats_.dgram_nqes_switched;
+      cost += config.costs.ce_table_lookup;
+      return true;
+    }
+    // New socket. The entry is final at once: the CE keeps no NSM socket id.
+    SocketEntry e;
     e.nsm_id = reg->nsm_id;
     e.nsm_qset = ChooseNsmQset(reg->nsm_id, ndev, key);
     e.vm_qset = nqe.queue_set;
-    if (op == NqeOp::kAccept) {
-      // GuestLib announced the guest handle of an accepted connection; the
-      // NSM socket id rides in op_data (Fig 6 step 3).
-      e.nsm_sock = nqe.op_data;
-      e.complete = true;
-    }
-    entry = &conn_table_.emplace(key, e).first->second;
+    e.dgram = op == NqeOp::kSocketUdp;
+    it = socket_table_.emplace(key, e).first;
     cost += config.costs.ce_table_insert;
     ++stats_.table_inserts;
-  } else {
-    cost += config.costs.ce_table_lookup;
   }
 
-  shm::NkDevice* ndev = engine_->FindNsm(entry->nsm_id);
+  const SocketEntry& entry = it->second;
+  shm::NkDevice* ndev = engine_->FindNsm(entry.nsm_id);
   if (ndev == nullptr) {
     // NSM vanished between rounds (DeregisterNsmDevice also purges the
-    // table, so this is a same-round race): unwind the guest's state.
-    conn_table_.erase(key);
+    // table, so this is a same-round race): drop the stale mapping so the
+    // next op re-homes, and unwind the guest's state.
+    socket_table_.erase(it);
     return FailVmNqe(nqe, plan);
   }
   // Backpressure: the NSM's pending queue is at the bound, so the NQE stays
@@ -944,98 +861,17 @@ bool CoreEngineShard::RouteVmNqe(const Nqe& nqe, bool from_send_ring,
 
   Delivery d;
   d.dst = ndev;
-  d.qset = entry->nsm_qset;
+  d.qset = entry.nsm_qset;
   d.ring = from_send_ring ? shm::RingKind::kSend : shm::RingKind::kJob;
   d.nqe = nqe;
   PlanDelivery(d, plan);
+  if (entry.dgram) ++stats_.dgram_nqes_switched;
   if (from_send_ring) stats_.send_bytes_switched += nqe.size;
-  if (op == NqeOp::kClose) conn_table_.erase(key);
+  if (op == NqeOp::kClose) socket_table_.erase(it);
   return true;
 }
 
-CoreEngineShard::DgramRoute CoreEngineShard::RouteDgramNqe(const Nqe& nqe,
-                                                           bool from_send_ring,
-                                                           std::vector<Delivery>& plan,
-                                                           Cycles& cost) {
-  CoreEngine::VmReg* reg = engine_->FindVm(nqe.vm_id);
-  if (reg == nullptr) return DgramRoute::kNotDgram;
-  const CoreEngineConfig& config = engine_->config_;
-  const NqeOp op = nqe.Op();
-  const uint64_t key = CoreEngine::ConnKey(nqe.vm_id, nqe.vm_sock);
-  DgramEntry* entry = nullptr;
-  auto it = dgram_table_.find(key);
-  if (it != dgram_table_.end()) entry = &it->second;
-
-  if (op == NqeOp::kSocketUdp) {
-    // New datagram socket: map it to the VM's current NSM. The entry is
-    // complete immediately — connectionless sockets are keyed by the guest
-    // handle alone, with no NSM socket id to learn (contrast Fig 6 step 4).
-    shm::NkDevice* ndev = reg->has_nsm ? engine_->FindNsm(reg->nsm_id) : nullptr;
-    if (ndev == nullptr) {
-      FailVmNqe(nqe, plan);  // no NSM to serve it
-      return DgramRoute::kClaimed;
-    }
-    DgramEntry e;
-    e.nsm_id = reg->nsm_id;
-    e.nsm_qset = ChooseNsmQset(reg->nsm_id, ndev, key);
-    e.vm_qset = nqe.queue_set;
-    entry = &dgram_table_.emplace(key, e).first->second;
-    cost += config.costs.ce_table_insert;
-    ++stats_.table_inserts;
-  } else if (entry != nullptr) {
-    cost += config.costs.ce_table_lookup;
-  } else if (op == NqeOp::kBindUdp || op == NqeOp::kSendTo || op == NqeOp::kSendToZc ||
-             op == NqeOp::kRecvFrom) {
-    // Socket not (or no longer) in the table — e.g. a kClose through the job
-    // ring overtook kSendTo NQEs still queued on the send ring, or the
-    // socket's NSM was deregistered. Forward statelessly to the VM's current
-    // NSM (re-homing the datagram flow): the NSM side owns the hugepage
-    // accounting and must see the NQE to release its payload chunk.
-    shm::NkDevice* fdev = reg->has_nsm ? engine_->FindNsm(reg->nsm_id) : nullptr;
-    if (fdev == nullptr) {
-      FailVmNqe(nqe, plan);
-      return DgramRoute::kClaimed;
-    }
-    if (Backpressured(fdev)) return DgramRoute::kDeferred;
-    Delivery d;
-    d.dst = fdev;
-    d.qset = ChooseNsmQset(reg->nsm_id, fdev, key);
-    d.ring = from_send_ring ? shm::RingKind::kSend : shm::RingKind::kJob;
-    d.nqe = nqe;
-    PlanDelivery(d, plan);
-    ++stats_.dgram_nqes_switched;
-    cost += config.costs.ce_table_lookup;
-    return DgramRoute::kClaimed;
-  } else {
-    // Not a datagram socket; fall through to connection routing.
-    return DgramRoute::kNotDgram;
-  }
-
-  shm::NkDevice* ndev = engine_->FindNsm(entry->nsm_id);
-  if (ndev == nullptr) {
-    // NSM vanished: drop the stale mapping so the next op re-homes to the
-    // VM's current NSM, and unwind this NQE's guest state.
-    dgram_table_.erase(key);
-    FailVmNqe(nqe, plan);
-    return DgramRoute::kClaimed;
-  }
-  if (Backpressured(ndev)) return DgramRoute::kDeferred;
-
-  Delivery d;
-  d.dst = ndev;
-  d.qset = entry->nsm_qset;
-  d.ring = from_send_ring ? shm::RingKind::kSend : shm::RingKind::kJob;
-  d.nqe = nqe;
-  PlanDelivery(d, plan);
-  ++stats_.dgram_nqes_switched;
-  if (from_send_ring) stats_.send_bytes_switched += nqe.size;
-  if (op == NqeOp::kClose) dgram_table_.erase(key);
-  return DgramRoute::kClaimed;
-}
-
-bool CoreEngineShard::RouteNsmNqe(const Nqe& nqe, uint8_t nsm_id, std::vector<Delivery>& plan,
-                                  Cycles& cost) {
-  (void)nsm_id;
+bool CoreEngineShard::RouteNsmNqe(const Nqe& nqe, std::vector<Delivery>& plan) {
   guard::NqeValidator& validator = engine_->validator_;
   if (validator.enabled() && !validator.ValidateNsmNqe(nqe)) {
     // Defense in depth on the NSM side of the boundary: an op byte that is
@@ -1058,15 +894,6 @@ bool CoreEngineShard::RouteNsmNqe(const Nqe& nqe, uint8_t nsm_id, std::vector<De
   if (Backpressured(reg->dev)) return false;
 
   auto op = nqe.Op();
-  // Fig 6 step 4: the NSM's first response for a connection carries the NSM
-  // socket id in op_data; complete the table entry. The entry lives in the
-  // shard owning the connection's VM queue set, which may not be the shard
-  // polling this NSM queue set — the facade routes the handoff.
-  if (op == NqeOp::kOpResult &&
-      static_cast<NqeOp>(nqe.reserved[0]) == NqeOp::kSocket) {
-    engine_->CompleteConnHandshake(nqe, cost);
-  }
-
   Delivery d;
   d.dst = reg->dev;
   d.qset = nqe.queue_set;
@@ -1283,12 +1110,12 @@ void CoreEngineShard::ProcessRound() {
       shm::QueueSet& q = dev->queue_set(qsi);
       int n = 0;
       while (n < batch && q.completion.Peek(&nqe)) {
-        if (!RouteNsmNqe(nqe, nsm_id, plan, cost)) break;
+        if (!RouteNsmNqe(nqe, plan)) break;
         q.completion.TryDequeue(&nqe);
         ++n;
       }
       while (n < 2 * batch && q.receive.Peek(&nqe)) {
-        if (!RouteNsmNqe(nqe, nsm_id, plan, cost)) break;
+        if (!RouteNsmNqe(nqe, plan)) break;
         q.receive.TryDequeue(&nqe);
         ++n;
       }
@@ -1385,11 +1212,6 @@ void CoreEngineShard::ParkOrDrop(const Delivery& d, std::vector<Delivery>& error
   ++stats_.per_vm[d.nqe.vm_id].deferred;
   recorder_.Record(obs::FlightEventType::kPark, d.nqe.vm_id, d.nqe.queue_set, d.nqe.op,
                    d.nqe.vm_sock, dq.size());
-}
-
-bool CoreEngineShard::HasParkedFor(shm::NkDevice* dev) const {
-  auto it = parked_.find(dev);
-  return it != parked_.end() && !it->second.empty();
 }
 
 bool CoreEngineShard::PeekParkedVm(shm::NkDevice* dev, uint8_t* vm_id) const {

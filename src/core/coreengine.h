@@ -3,8 +3,10 @@
 // VM and NSM NK devices (paper §4.3-§4.4).
 //
 // Responsibilities reproduced here:
-//   * NQE switching with a connection table mapping
-//     <VM id, queue set, socket id> <-> <NSM id, queue set, socket id>;
+//   * NQE switching through one socket table per shard, keyed by the guest
+//     socket <VM id, socket id> and mapping it to <NSM id, NSM queue set>;
+//     stream and datagram sockets share the table and differ only in how an
+//     NSM's death unwinds them (an error FIN vs. a silent re-home);
 //   * flexible VM -> NSM mapping (multiplexing several VMs onto one NSM and
 //     switching a VM's NSM on the fly);
 //   * weighted deficit-round-robin polling over the VM queue sets (per-VM
@@ -22,13 +24,21 @@
 //   * per-VM observability (PerVmStats) so fairness and isolation are
 //     assertable rather than eyeballed.
 //
+// The table keeps no NSM socket id. The paper's Fig 6 completes each entry
+// with the id the NSM returns for a new socket (step 4), but nothing on the
+// switch ever reads it: the NSM front-end (NsmService) finds its socket by the
+// same <VM id, socket id> key the NQE already carries, and responses route
+// toward the VM by the VM id and queue set they name. So an entry is final
+// the moment it is inserted, and the NSM response path never writes a table.
+//
 // Multi-core switching (Fig 11's single-core wall): CoreEngine is an N-shard
 // switch. Each CoreEngineShard busy-polls on its own dedicated hypervisor
 // core and owns a *disjoint* set of VM queue sets and NSM queue sets, plus
-// the connection/datagram-table entries, parked deliveries, and DRR state
-// routed through them. No mutex is charged to a switched NQE: every queue
-// set has exactly one owning shard (single-writer state, in the spirit of
-// wait-free handoff constructions), and ownership moves only via explicit
+// the socket-table entries, parked deliveries, and DRR state routed through
+// them. No mutex is charged to a switched NQE: every queue set has exactly
+// one owning shard, and a shard's socket table is written only by that
+// shard's own routing and teardown (single-writer state, in the spirit of
+// wait-free handoff constructions). Ownership moves only via explicit
 // handoff events executed at a shard's round boundary — work-stealing
 // rebalance migrates a queue set from an overloaded shard to an idle one,
 // carrying its table entries and parked deliveries so NQE conservation and
@@ -159,6 +169,16 @@ struct PerVmStats {
   uint64_t deferred = 0;   // deliveries parked on a full destination ring
 };
 
+// Sums one VM's per-shard slices (CoreEngine::stats() and VmStats()).
+inline PerVmStats& operator+=(PerVmStats& a, const PerVmStats& b) {
+  a.switched += b.switched;
+  a.dropped += b.dropped;
+  a.throttled += b.throttled;
+  a.bytes += b.bytes;
+  a.deferred += b.deferred;
+  return a;
+}
+
 // nklint: stats
 struct CoreEngineStats {
   uint64_t nqes_switched = 0;
@@ -177,8 +197,8 @@ class CoreEngine;
 
 // One switching core of the N-shard CoreEngine. Owns a disjoint set of VM
 // queue sets (polled with weighted DRR against the engine-wide per-VM
-// weights) and NSM queue sets, the conn/dgram table entries routed through
-// them, and per-destination parked-delivery FIFOs. All datapath state here is
+// weights) and NSM queue sets, the socket-table entries routed through them,
+// and per-destination parked-delivery FIFOs. All datapath state here is
 // single-writer: only this shard touches it, except during an explicit
 // queue-set handoff executed at this shard's round boundary.
 class CoreEngineShard {
@@ -196,21 +216,17 @@ class CoreEngineShard {
  private:
   friend class CoreEngine;
 
-  struct ConnEntry {
-    uint8_t nsm_id = 0;
-    uint8_t nsm_qset = 0;
-    uint64_t nsm_sock = 0;  // filled by the NSM's response (Fig 6 step 4)
-    uint8_t vm_qset = 0;
-    bool complete = false;
-  };
-  // Connectionless sockets route by socket key alone: no NSM-socket-id
-  // completion handshake, so the entry is final at kSocketUdp time.
-  // vm_qset records which VM queue set the socket lives on, so the entry
-  // migrates with its queue set on a shard handoff.
-  struct DgramEntry {
+  // Where one guest socket's NQEs go. vm_qset records which VM queue set the
+  // socket lives on, so the entry migrates with its queue set on a shard
+  // handoff and an NSM-death FIN lands where the guest reaps it.
+  struct SocketEntry {
     uint8_t nsm_id = 0;
     uint8_t nsm_qset = 0;
     uint8_t vm_qset = 0;
+    // Connectionless socket: counts toward dgram_nqes_switched, and an NSM's
+    // death erases it silently (the next datagram op re-homes) instead of
+    // sending the guest an error FIN.
+    bool dgram = false;
   };
   // Per-VM deficit-round-robin state over the queue sets this shard owns.
   struct VmSched {
@@ -249,8 +265,9 @@ class CoreEngineShard {
   void ScheduleRound();
   void ProcessRound();
   // Routes up to `limit` NQEs from `vm`'s owned queue sets (send ring before
-  // job ring per set). A throttled/backpressured ring sets the matching
-  // blocked flag so later passes of the same round skip it.
+  // job ring per set; a kClose waits while its queue set's send ring still
+  // holds NQEs). A throttled/backpressured ring sets the matching blocked
+  // flag so later passes of the same round skip it.
   uint64_t PollVm(uint8_t vm_id, VmSched& vs, uint64_t limit, std::vector<Delivery>& plan,
                   Cycles& cost, SimTime* retry_at, bool* send_blocked, bool* job_blocked);
   // nkguard admission at ring-consume time: scrubs guest-written flag bytes,
@@ -260,26 +277,18 @@ class CoreEngineShard {
   // NQE was admitted and may be routed; false when it was consumed here.
   bool GuardAdmit(shm::Nqe* nqe, shm::SpscRing<shm::Nqe>* ring, bool from_send_ring,
                   uint8_t vm_id, uint8_t qset, std::vector<Delivery>& plan, Cycles& cost);
-  // Routes one VM->NSM NQE; returns false if it must stay queued (throttled).
+  // Routes one VM->NSM NQE through the socket table; returns false if it
+  // must stay queued (throttled, or its destination is backpressured).
   bool RouteVmNqe(const shm::Nqe& nqe, bool from_send_ring, std::vector<Delivery>& plan,
                   Cycles& cost, SimTime* retry_at);
-  // Connectionless-NQE routing via the datagram socket table.
-  enum class DgramRoute {
-    kNotDgram,   // not a datagram op; fall through to connection routing
-    kClaimed,    // routed (or failed with an error completion): consume it
-    kDeferred,   // destination backpressured: leave it in the guest ring
-  };
-  DgramRoute RouteDgramNqe(const shm::Nqe& nqe, bool from_send_ring,
-                           std::vector<Delivery>& plan, Cycles& cost);
   // Routes one NSM->VM NQE; returns false if it must stay queued (the VM
   // device's pending queue is at the bound — backpressure toward the NSM).
-  bool RouteNsmNqe(const shm::Nqe& nqe, uint8_t nsm_id, std::vector<Delivery>& plan,
-                   Cycles& cost);
+  bool RouteNsmNqe(const shm::Nqe& nqe, std::vector<Delivery>& plan);
 
   // Picks the NSM queue set for a new socket: prefer a queue set of that NSM
-  // owned by *this* shard, so the response path stays single-writer; fall
-  // back to a global hash when this shard owns none (the completion then
-  // crosses shards through the facade handshake).
+  // owned by *this* shard, so the response path stays core-local; fall back
+  // to a global hash when this shard owns none (the responses are then
+  // polled by another shard, which routes them by VM id alone).
   uint8_t ChooseNsmQset(uint8_t nsm_id, const shm::NkDevice* ndev, uint64_t key) const;
 
   // The switch could not route `orig`: count the drop and, for ops whose
@@ -307,7 +316,6 @@ class CoreEngineShard {
   void ParkOrDrop(const Delivery& d, std::vector<Delivery>& errors);
   void DropDelivery(const Delivery& d, std::vector<Delivery>& errors);
   // Facade hooks for the cross-shard weighted park drain.
-  bool HasParkedFor(shm::NkDevice* dev) const;
   bool PeekParkedVm(shm::NkDevice* dev, uint8_t* vm_id) const;
   bool TryDeliverParkedFront(shm::NkDevice* dev, std::vector<shm::NkDevice*>& to_wake);
   // Discards parked deliveries destined for a deregistering device.
@@ -325,8 +333,9 @@ class CoreEngineShard {
   size_t vm_rr_cursor_ = 0;  // rotated every round: who gets polled first
   size_t nsm_rr_cursor_ = 0;
 
-  std::unordered_map<uint64_t, ConnEntry> conn_table_;
-  std::unordered_map<uint64_t, DgramEntry> dgram_table_;
+  // Keyed by CoreEngine::SocketKey(vm_id, vm_sock); written only by this
+  // shard (routing, teardown) and by a queue-set handoff at a round boundary.
+  std::unordered_map<uint64_t, SocketEntry> socket_table_;
 
   bool round_scheduled_ = false;
   sim::EventHandle retry_timer_;
@@ -376,7 +385,7 @@ class CoreEngine {
   // the failover controller's `reconnects_required` surface.
   size_t DeregisterNsmDevice(uint8_t nsm_id);
   // Maps a VM to an NSM. May be called again later ("switch NSM on the fly"):
-  // established connections stay on their old NSM via the connection table;
+  // established connections stay on their old NSM via the socket table;
   // new sockets go to the new NSM.
   void AssignVmToNsm(uint8_t vm_id, uint8_t nsm_id);
   // Pins a VM queue set to a shard (overrides hash placement). The handoff
@@ -445,8 +454,8 @@ class CoreEngine {
   CoreEngineStats stats() const;
   // Per-VM slice; zero-initialized if the VM never moved an NQE.
   PerVmStats VmStats(uint8_t vm_id) const;
-  size_t ConnectionTableSize() const;
-  size_t DgramTableSize() const;
+  // Socket-table entries (stream and datagram) across every shard.
+  size_t SocketTableSize() const;
   size_t ParkedDeliveries() const;
   int num_shards() const { return static_cast<int>(shards_.size()); }
   CoreEngineShard& shard(int i) { return *shards_[static_cast<size_t>(i)]; }
@@ -484,7 +493,7 @@ class CoreEngine {
     uint64_t heartbeats = 0;
   };
 
-  static uint64_t ConnKey(uint8_t vm_id, uint32_t vm_sock) {
+  static uint64_t SocketKey(uint8_t vm_id, uint32_t vm_sock) {
     return (static_cast<uint64_t>(vm_id) << 32) | vm_sock;
   }
   static uint16_t QsetKey(uint8_t id, uint8_t qset) {
@@ -508,11 +517,6 @@ class CoreEngine {
     return it == vms_.end() ? 1 : it->second.weight;
   }
 
-  // Fig 6 step 4 across shards: an NSM's kSocket result may be polled by a
-  // shard other than the one owning the connection's VM queue set; complete
-  // the entry in the owning shard's table (an explicit cross-shard handoff).
-  void CompleteConnHandshake(const shm::Nqe& nqe, Cycles& cost);
-
   // Drains every shard's parked FIFO for `dev`. With one holder this is the
   // plain FIFO retry; with several, entries are taken in weighted round-robin
   // by the front NQE's VM so DRR weights hold across shards.
@@ -521,7 +525,7 @@ class CoreEngine {
   // Work-stealing rebalance, called by `victim` at its round boundary (its
   // delivery plan has just landed, so the handoff is conservation-safe).
   void MaybeRebalance(CoreEngineShard* victim);
-  // Moves one VM queue set between shards: ownership, conn/dgram entries,
+  // Moves one VM queue set between shards: ownership, socket-table entries,
   // and parked deliveries travel together, preserving per-device FIFO order.
   void MigrateVmQset(uint8_t vm_id, uint8_t qset, CoreEngineShard* from, CoreEngineShard* to);
 

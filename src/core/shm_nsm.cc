@@ -13,13 +13,9 @@ using shm::Nqe;
 using shm::NqeOp;
 
 ShmServiceLib::ShmServiceLib(sim::EventLoop* loop, uint8_t nsm_id, CoreEngine* ce,
-                             shm::NkDevice* dev, std::vector<sim::CpuCore*> cores, Config config)
-    : NsmService(loop, nsm_id, ce, dev, std::move(cores), config.costs.servicelib_translate),
-      config_(config) {}
-
-ShmServiceLib::ShmServiceLib(sim::EventLoop* loop, uint8_t nsm_id, CoreEngine* ce,
                              shm::NkDevice* dev, std::vector<sim::CpuCore*> cores)
-    : ShmServiceLib(loop, nsm_id, ce, dev, std::move(cores), Config()) {}
+    : NsmService(loop, nsm_id, ce, dev, std::move(cores),
+                 tcp::NetkernelCosts().servicelib_translate) {}
 
 ShmServiceLib::Endpoint* ShmServiceLib::FindByEp(uint64_t ep_id) {
   auto it = eps_.find(ep_id);
@@ -225,7 +221,7 @@ void ShmServiceLib::PumpCopy(uint64_t src_ep_id) {
   if (src == nullptr || src->copy_pending || src->pending.empty()) return;
   Endpoint* dst = FindByEp(src->peer);
   if (dst == nullptr || !dst->linked) return;
-  if (dst->rx_outstanding >= config_.rx_outstanding_cap) return;  // credit wait
+  if (dst->rx_outstanding >= kRxOutstandingCap) return;  // credit wait
 
   auto svit = vms_.find(src->vm_id);
   auto dvit = vms_.find(dst->vm_id);
@@ -240,7 +236,7 @@ void ShmServiceLib::PumpCopy(uint64_t src_ep_id) {
   src->copy_pending = true;
 
   sim::CpuCore* core = cores_[src->ep_id % cores_.size()];
-  Cycles copy = static_cast<Cycles>(config_.costs.hugepage_copy_per_byte * chunk.size);
+  Cycles copy = static_cast<Cycles>(costs_.hugepage_copy_per_byte * chunk.size);
   core->Charge(copy, [this, src_ep_id, chunk, doff, spool, dpool] {
     Endpoint* src2 = FindByEp(src_ep_id);
     if (src2 == nullptr) {

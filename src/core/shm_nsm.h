@@ -25,13 +25,6 @@ namespace netkernel::core {
 
 class ShmServiceLib : public NsmService {
  public:
-  struct Config {
-    tcp::NetkernelCosts costs;
-    uint64_t rx_outstanding_cap = 1 * kMiB;
-  };
-
-  ShmServiceLib(sim::EventLoop* loop, uint8_t nsm_id, CoreEngine* ce, shm::NkDevice* dev,
-                std::vector<sim::CpuCore*> cores, Config config);
   ShmServiceLib(sim::EventLoop* loop, uint8_t nsm_id, CoreEngine* ce, shm::NkDevice* dev,
                 std::vector<sim::CpuCore*> cores);
 
@@ -75,7 +68,11 @@ class ShmServiceLib : public NsmService {
   void MaybeFinishClose(uint64_t ep_id);
   void DeliverFin(uint64_t ep_id, int32_t err);
 
-  Config config_;
+  // Unconsumed bytes one endpoint may hold before its peer's copies wait for
+  // receive credit.
+  static constexpr uint64_t kRxOutstandingCap = 1 * kMiB;
+
+  const tcp::NetkernelCosts costs_;
   std::unordered_map<uint64_t, std::unique_ptr<Endpoint>> eps_;
   std::unordered_map<uint64_t, uint64_t> listeners_;  // (ip<<16|port) -> ep id
   uint64_t next_ep_ = 1;

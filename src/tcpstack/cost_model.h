@@ -146,7 +146,7 @@ struct NetkernelCosts {
   Cycles ce_per_nqe_batch4 = 103;
   Cycles ce_per_nqe_batch16 = 35;
   Cycles ce_per_nqe_batch64 = 19;
-  // Connection-table operations.
+  // Socket-table operations.
   Cycles ce_table_lookup = 40;
   Cycles ce_table_insert = 120;
   // nkguard admission check per consumed guest NQE: a short chain of

@@ -246,12 +246,12 @@ TEST_F(CeErrorTest, SendToAfterNsmDeathReclaimsChunk) {
   vm_dev_.queue_set(0).job.TryEnqueue(MakeNqe(NqeOp::kSocketUdp, 1, 0, 9));
   ce_.NotifyVmOutbound(1);
   RunABit();
-  EXPECT_EQ(ce_.DgramTableSize(), 1u);
+  EXPECT_EQ(ce_.SocketTableSize(), 1u);
 
   // The NSM dies and nothing replaces it: a queued kSendTo must come back
   // as a flagged kSendToResult, not disappear with the chunk.
   ce_.DeregisterNsmDevice(1);
-  EXPECT_EQ(ce_.DgramTableSize(), 0u);  // entry purged with the NSM
+  EXPECT_EQ(ce_.SocketTableSize(), 0u);  // entry purged with the NSM
   vm_dev_.queue_set(0).send.TryEnqueue(
       MakeNqe(NqeOp::kSendTo, 1, 0, 9, shm::PackAddr(1, 80), 5555, 256));
   ce_.NotifyVmOutbound(1);
@@ -271,12 +271,12 @@ TEST_F(CeErrorTest, DeregisterNsmFinsEstablishedConnections) {
   vm_dev_.queue_set(0).job.TryEnqueue(MakeNqe(NqeOp::kSocket, 1, 0, 100));
   ce_.NotifyVmOutbound(1);
   RunABit();
-  EXPECT_EQ(ce_.ConnectionTableSize(), 1u);
+  EXPECT_EQ(ce_.SocketTableSize(), 1u);
 
   ce_.DeregisterNsmDevice(1);
-  // Regression: DeregisterNsmDevice used to leak the conn/dgram entries of
+  // Regression: DeregisterNsmDevice used to leak the socket-table entries of
   // the dead NSM (only DeregisterVmDevice cleaned its tables).
-  EXPECT_EQ(ce_.ConnectionTableSize(), 0u);
+  EXPECT_EQ(ce_.SocketTableSize(), 0u);
   Nqe got;
   ASSERT_TRUE(vm_dev_.queue_set(0).receive.TryDequeue(&got));
   EXPECT_EQ(got.Op(), NqeOp::kFinReceived);

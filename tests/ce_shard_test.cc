@@ -3,7 +3,8 @@
 // op), NQE conservation and per-connection ordering across a work-stealing
 // migration, weighted fairness when the competing VMs live on different
 // shards, the NSM-deregistration race with parked deliveries spread over
-// shards, scheduler-state cleanup on VM deregistration, the kQueryVmStats
+// shards, a mixed stream/datagram socket table across a migration and NSM
+// death, scheduler-state cleanup on VM deregistration, the kQueryVmStats
 // control op, near-linear multi-shard switching throughput, and coalesced
 // NSM-side wakeups.
 
@@ -305,7 +306,7 @@ TEST(CeShardTest, NsmDeathWithParkedDeliveriesOnBothShards) {
   h.ce_->DeregisterNsmDevice(1);
   EXPECT_EQ(h.ce_->ParkedDeliveries(), 0u);
   EXPECT_EQ(h.ce_->stats().nqes_dropped, parked0 + parked1);
-  EXPECT_EQ(h.ce_->DgramTableSize(), 0u);
+  EXPECT_EQ(h.ce_->SocketTableSize(), 0u);
   // Each VM gets exactly its own parked count back as reclaim completions.
   auto reclaims = [&](NkDevice& dev) {
     uint64_t n = 0;
@@ -320,6 +321,83 @@ TEST(CeShardTest, NsmDeathWithParkedDeliveriesOnBothShards) {
   };
   EXPECT_EQ(reclaims(vm1_dev), parked0);
   EXPECT_EQ(reclaims(vm2_dev), parked1);
+}
+
+// ---------------------------------------------------------------------------
+// One socket table holds both socket kinds: a stream and a datagram socket
+// on one queue set migrate together, and the NSM's death FINs only the
+// stream while the datagram socket re-homes to the next NSM.
+// ---------------------------------------------------------------------------
+
+TEST(CeShardTest, MixedSocketTableAcrossMigrationAndNsmDeath) {
+  CoreEngineConfig cfg;
+  ShardHarness h(2, cfg);
+  NkDevice vm_dev("vm", 1);
+  NkDevice nsm1("nsm1", 2);
+  NkDevice nsm2("nsm2", 1);
+  h.ce_->RegisterNsmDevice(1, &nsm1);
+  h.ce_->RegisterVmDevice(1, &vm_dev);
+  h.ce_->AssignVmToNsm(1, 1);
+  ASSERT_TRUE(h.ce_->AssignQueueSetToShard(1, 0, 0));
+  vm_dev.queue_set(0).job.TryEnqueue(MakeNqe(NqeOp::kSocket, 1, 0, 100));
+  vm_dev.queue_set(0).job.TryEnqueue(MakeNqe(NqeOp::kSocketUdp, 1, 0, 200));
+  h.ce_->NotifyVmOutbound(1);
+  h.RunFor(kMillisecond);
+  auto drain = [](NkDevice& dev) {
+    std::vector<Nqe> out;
+    Nqe nqe;
+    for (int qs = 0; qs < dev.num_queue_sets(); ++qs) {
+      while (dev.queue_set(qs).job.TryDequeue(&nqe)) out.push_back(nqe);
+      while (dev.queue_set(qs).send.TryDequeue(&nqe)) out.push_back(nqe);
+    }
+    return out;
+  };
+  ASSERT_EQ(drain(nsm1).size(), 2u);
+  EXPECT_EQ(h.ce_->SocketTableSize(), 2u);
+  EXPECT_EQ(h.ce_->stats().table_inserts, 2u);
+
+  // Both entries move with their queue set: traffic after the handoff hits
+  // them on the new shard instead of inserting (or re-homing) afresh.
+  const uint64_t migrations = h.ce_->stats().qset_migrations;
+  ASSERT_TRUE(h.ce_->AssignQueueSetToShard(1, 0, 1));
+  ASSERT_EQ(h.ce_->ShardOfVmQset(1, 0), 1);
+  vm_dev.queue_set(0).send.TryEnqueue(MakeNqe(NqeOp::kSend, 1, 0, 100, 0, 0, 64));
+  vm_dev.queue_set(0).send.TryEnqueue(
+      MakeNqe(NqeOp::kSendTo, 1, 0, 200, shm::PackAddr(1, 80), 0, 64));
+  h.ce_->NotifyVmOutbound(1);
+  h.RunFor(kMillisecond);
+  EXPECT_EQ(drain(nsm1).size(), 2u);
+  EXPECT_EQ(h.ce_->SocketTableSize(), 2u);
+  EXPECT_EQ(h.ce_->stats().table_inserts, 2u);
+  EXPECT_EQ(h.ce_->stats().qset_migrations, migrations + 1);
+
+  h.ce_->RegisterNsmDevice(2, &nsm2);
+  EXPECT_EQ(h.ce_->DeregisterNsmDevice(1), 1u);
+  EXPECT_EQ(h.ce_->SocketTableSize(), 0u);
+  size_t fins = 0;
+  Nqe got;
+  while (vm_dev.queue_set(0).receive.TryDequeue(&got)) {
+    ASSERT_EQ(got.Op(), NqeOp::kFinReceived);
+    EXPECT_EQ(got.vm_sock, 100u);
+    EXPECT_EQ(static_cast<int32_t>(got.size), kCeNetUnreach);
+    ++fins;
+  }
+  EXPECT_EQ(fins, 1u);
+
+  // The datagram socket re-homes to the newly assigned NSM.
+  h.ce_->AssignVmToNsm(1, 2);
+  const uint64_t dgram_before = h.ce_->stats().dgram_nqes_switched;
+  vm_dev.queue_set(0).send.TryEnqueue(
+      MakeNqe(NqeOp::kSendTo, 1, 0, 200, shm::PackAddr(1, 80), 0, 64));
+  h.ce_->NotifyVmOutbound(1);
+  h.RunFor(kMillisecond);
+  std::vector<Nqe> rehomed = drain(nsm2);
+  ASSERT_EQ(rehomed.size(), 1u);
+  EXPECT_EQ(rehomed[0].Op(), NqeOp::kSendTo);
+  EXPECT_EQ(rehomed[0].vm_sock, 200u);
+  EXPECT_EQ(h.ce_->stats().dgram_nqes_switched, dgram_before + 1);
+  EXPECT_EQ(h.ce_->stats().nqes_dropped, 0u);
+  EXPECT_FALSE(vm_dev.queue_set(0).completion.TryDequeue(&got));  // no error
 }
 
 // ---------------------------------------------------------------------------

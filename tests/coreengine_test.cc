@@ -1,6 +1,6 @@
 // Copyright (c) NetKernel reproduction authors.
 // Unit tests for CoreEngine: registration control plane, NQE switching,
-// connection table, VM->NSM mapping, and token-bucket isolation.
+// socket table, VM->NSM mapping, and token-bucket isolation.
 
 #include <gtest/gtest.h>
 
@@ -64,7 +64,7 @@ TEST_F(CoreEngineTest, SwitchesJobNqeToMappedNsm) {
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].Op(), NqeOp::kSocket);
   EXPECT_EQ(got[0].vm_sock, 100u);
-  EXPECT_EQ(ce_.ConnectionTableSize(), 1u);
+  EXPECT_EQ(ce_.SocketTableSize(), 1u);
   EXPECT_EQ(ce_.stats().nqes_switched, 1u);
 }
 
@@ -81,10 +81,11 @@ TEST_F(CoreEngineTest, LaterNqesFollowTableEntryQueueSet) {
   EXPECT_FALSE(found_qs0 && found_qs1);
 }
 
-TEST_F(CoreEngineTest, ResponseCompletesTableEntry) {
+TEST_F(CoreEngineTest, SocketResultReachesOriginatingQueueSet) {
   SendFromVm(MakeNqe(NqeOp::kSocket, 1, 0, 100));
   DrainNsm();
-  // NSM answers with its socket id in op_data (Fig 6 step 3-4).
+  // NSM answers with its socket id in op_data (Fig 6 step 3-4); the switch
+  // passes it through to the guest untouched.
   Nqe resp = MakeNqe(NqeOp::kOpResult, 1, 0, 100, /*op_data=*/777);
   resp.reserved[0] = static_cast<uint8_t>(NqeOp::kSocket);
   nsm_dev_.queue_set(0).completion.TryEnqueue(resp);
@@ -110,14 +111,14 @@ TEST_F(CoreEngineTest, RecvDataGoesToReceiveRing) {
 
 TEST_F(CoreEngineTest, CloseRemovesTableEntry) {
   SendFromVm(MakeNqe(NqeOp::kSocket, 1, 0, 100));
-  EXPECT_EQ(ce_.ConnectionTableSize(), 1u);
+  EXPECT_EQ(ce_.SocketTableSize(), 1u);
   SendFromVm(MakeNqe(NqeOp::kClose, 1, 0, 100));
-  EXPECT_EQ(ce_.ConnectionTableSize(), 0u);
+  EXPECT_EQ(ce_.SocketTableSize(), 0u);
 }
 
 TEST_F(CoreEngineTest, AcceptLinkInsertsCompleteEntry) {
   SendFromVm(MakeNqe(NqeOp::kAccept, 1, 0, 200, /*nsm_sock=*/555));
-  EXPECT_EQ(ce_.ConnectionTableSize(), 1u);
+  EXPECT_EQ(ce_.SocketTableSize(), 1u);
   auto got = DrainNsm();
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].op_data, 555u);
@@ -149,7 +150,7 @@ TEST_F(CoreEngineTest, MultiplexesTwoVmsOntoOneNsm) {
   loop_.Run(loop_.Now() + kMillisecond);
   auto got = DrainNsm();
   ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(ce_.ConnectionTableSize(), 2u);  // distinct <vm, sock> keys
+  EXPECT_EQ(ce_.SocketTableSize(), 2u);  // distinct <vm, sock> keys
 }
 
 TEST_F(CoreEngineTest, OpRateLimitThrottlesAndRecovers) {
@@ -184,6 +185,47 @@ TEST_F(CoreEngineTest, ByteRateLimitAppliesToSendQueue) {
   EXPECT_EQ(passed + DrainNsm().size(), 4u);
 }
 
+TEST_F(CoreEngineTest, CloseWaitsForThrottledSends) {
+  // The byte bucket holds sends back on the send ring while the job ring
+  // could keep draining: a pipelined kClose must still reach the NSM after
+  // every send, or the late sends would re-create the erased entry.
+  ce_.SetVmByteRate(1, /*bytes_per_sec=*/1e6, /*burst=*/8192.0);
+  SendFromVm(MakeNqe(NqeOp::kSocket, 1, 0, 100));
+  DrainNsm();
+  for (int i = 0; i < 4; ++i) {
+    vm_dev_.queue_set(0).send.TryEnqueue(MakeNqe(NqeOp::kSend, 1, 0, 100, 0, 0, 8192));
+  }
+  vm_dev_.queue_set(0).job.TryEnqueue(MakeNqe(NqeOp::kClose, 1, 0, 100));
+  ce_.NotifyVmOutbound(1);
+  // Drain the NSM every 100 us; sends drained together with the close
+  // arrived in the same round, ahead of it on its queue set.
+  size_t sends = 0;
+  size_t sends_at_close = 0;
+  size_t sends_after_close = 0;
+  bool closed = false;
+  for (int step = 0; step < 400; ++step) {
+    loop_.Run(loop_.Now() + 100 * kMicrosecond);
+    bool close_now = false;
+    size_t sends_now = 0;
+    for (const Nqe& nqe : DrainNsm()) {
+      if (nqe.Op() == NqeOp::kClose) close_now = true;
+      if (nqe.Op() == NqeOp::kSend) ++sends_now;
+    }
+    if (closed) sends_after_close += sends_now;
+    sends += sends_now;
+    if (close_now) {
+      ASSERT_FALSE(closed);
+      closed = true;
+      sends_at_close = sends;
+    }
+  }
+  EXPECT_TRUE(closed);
+  EXPECT_EQ(sends_at_close, 4u);  // every send reached the NSM first
+  EXPECT_EQ(sends_after_close, 0u);
+  EXPECT_EQ(ce_.SocketTableSize(), 0u);
+  EXPECT_EQ(ce_.stats().table_inserts, 1u);
+}
+
 TEST_F(CoreEngineTest, ControlMessagesAreEightBytes) {
   CeMessage resp = ce_.HandleControlMessage(
       {static_cast<uint32_t>(CeOp::kAssignVmToNsm), (1u << 8) | 1u});
@@ -194,9 +236,9 @@ TEST_F(CoreEngineTest, ControlMessagesAreEightBytes) {
 
 TEST_F(CoreEngineTest, DeregisterVmDropsItsConnections) {
   SendFromVm(MakeNqe(NqeOp::kSocket, 1, 0, 100));
-  EXPECT_EQ(ce_.ConnectionTableSize(), 1u);
+  EXPECT_EQ(ce_.SocketTableSize(), 1u);
   ce_.DeregisterVmDevice(1);
-  EXPECT_EQ(ce_.ConnectionTableSize(), 0u);
+  EXPECT_EQ(ce_.SocketTableSize(), 0u);
 }
 
 TEST_F(CoreEngineTest, SwitchingChargesTheCeCore) {

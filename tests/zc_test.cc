@@ -729,7 +729,7 @@ TEST_F(ZcTest, ListenerCloseClosesPendingAcceptedConnections) {
   EXPECT_LE(peer_read, 0);
   EXPECT_NE(peer_read, -2);
   // The NSM holds no connection state for the dead listener's children.
-  EXPECT_EQ(HostA().ce().ConnectionTableSize(), 0u);
+  EXPECT_EQ(HostA().ce().SocketTableSize(), 0u);
 }
 
 }  // namespace
