@@ -14,6 +14,15 @@ using shm::MakeNqe;
 using shm::Nqe;
 using shm::NqeOp;
 
+namespace {
+
+// What a datagram or stream verb returns for an fd it cannot use.
+int BadFd(bool dgram) {
+  return dgram ? static_cast<int>(udp::kBadSocket) : static_cast<int>(tcp::kNotConnected);
+}
+
+}  // namespace
+
 GuestLib::GuestLib(sim::EventLoop* loop, uint8_t vm_id, CoreEngine* ce, shm::NkDevice* dev,
                    shm::HugepagePool* pool, std::vector<sim::CpuCore*> vcpus, Config config)
     : loop_(loop),
@@ -30,10 +39,6 @@ GuestLib::GuestLib(sim::EventLoop* loop, uint8_t vm_id, CoreEngine* ce, shm::NkD
   NK_CHECK(static_cast<int>(vcpus_.size()) == dev->num_queue_sets());
   dev_->SetWakeCallback([this] { OnDeviceWake(); });
 }
-
-GuestLib::GuestLib(sim::EventLoop* loop, uint8_t vm_id, CoreEngine* ce, shm::NkDevice* dev,
-                   shm::HugepagePool* pool, std::vector<sim::CpuCore*> vcpus)
-    : GuestLib(loop, vm_id, ce, dev, pool, std::move(vcpus), Config()) {}
 
 GuestLib::GSock* GuestLib::FindByFd(int fd) {
   auto it = fd_to_handle_.find(fd);
@@ -59,7 +64,6 @@ GuestLib::GSock& GuestLib::NewSock(sim::CpuCore* core) {
   g->fd = next_fd_++;
   g->qset = QueueSetOf(core);
   g->ev = std::make_unique<sim::SimEvent>(loop_);
-  g->send_limit = config_.sndbuf_bytes;
   GSock& ref = *g;
   fd_to_handle_[ref.fd] = ref.handle;
   socks_[ref.handle] = std::move(g);
@@ -72,29 +76,20 @@ uint32_t GuestLib::Readiness(int fd) {
   uint32_t r = 0;
   if (g->error) r |= kEpollErr;
   if (g->dgram) {
-    if (!g->drx.empty()) r |= kEpollIn;
-    if (g->send_usage < g->send_limit) r |= kEpollOut;
+    if (!g->rx.empty()) r |= kEpollIn;
+    if (g->send_usage < kSendCredit) r |= kEpollOut;
     return r;
   }
   if (!g->pending_conns.empty()) r |= kEpollIn;
   if (g->rx_bytes > 0 || g->fin) r |= kEpollIn;
-  if (g->connected && g->send_usage < g->send_limit) r |= kEpollOut;
+  if (g->connected && g->send_usage < kSendCredit) r |= kEpollOut;
   return r;
 }
 
-void GuestLib::EnqueueJob(GSock& g, Nqe nqe) {
+void GuestLib::EnqueueRing(bool send_ring, GSock& g, Nqe nqe) {
+  const int qset = g.qset;
   nqe.vm_id = vm_id_;
-  nqe.queue_set = static_cast<uint8_t>(g.qset);
-  EnqueueRing(false, g.qset, nqe);
-}
-
-void GuestLib::EnqueueSend(GSock& g, Nqe nqe) {
-  nqe.vm_id = vm_id_;
-  nqe.queue_set = static_cast<uint8_t>(g.qset);
-  EnqueueRing(true, g.qset, nqe);
-}
-
-void GuestLib::EnqueueRing(bool send_ring, int qset, Nqe nqe) {
+  nqe.queue_set = static_cast<uint8_t>(qset);
   // T0: stamp before the ring/park decision so the trace id rides the NQE
   // even when it sits in the overflow park first.
   if (tracer_ != nullptr) {
@@ -138,7 +133,7 @@ void GuestLib::FlushOverflow(int qset) {
 }
 
 sim::Task<int> GuestLib::DoControlOp(sim::CpuCore* core, GSock& g, Nqe nqe) {
-  co_await core->Work(config_.syscall + config_.costs.guestlib_translate);
+  co_await core->Work(kSyscall + config_.costs.guestlib_translate);
   g.op_done = false;
   uint32_t handle = g.handle;
   EnqueueJob(g, nqe);
@@ -151,17 +146,75 @@ sim::Task<int> GuestLib::DoControlOp(sim::CpuCore* core, GSock& g, Nqe nqe) {
   }
 }
 
+// The one TX reservation, shared by every send verb.
+sim::Task<int> GuestLib::ReserveTx(uint32_t handle, uint32_t size, bool need_conn, int gone_err,
+                                   uint64_t* off) {
+  for (;;) {
+    GSock* g = FindByHandle(handle);
+    if (g == nullptr) co_return gone_err;
+    if (g->error) co_return g->err;
+    if (need_conn && !g->connected) co_return tcp::kNotConnected;
+    // Send-buffer credit for all of it (completions return credit).
+    if (g->send_usage + size > kSendCredit) {
+      co_await g->ev->Wait();
+      continue;
+    }
+    // Even an empty datagram rides in a minimal allocation.
+    *off = pool_->Alloc(size > 0 ? size : 1);
+    if (*off == shm::HugepagePool::kInvalidOffset) {
+      // Hugepage region exhausted: wait for in-flight sends to drain.
+      if (g->send_usage > 0) {
+        co_await g->ev->Wait();
+      } else {
+        co_await sim::Delay(loop_, 50 * kMicrosecond);
+      }
+      continue;
+    }
+    co_return 0;
+  }
+}
+
+void GuestLib::ReturnSendCredit(GSock& g, uint64_t bytes) {
+  g.send_usage = g.send_usage > bytes ? g.send_usage - bytes : 0;
+  g.ev->NotifyAll();
+  epolls_.NotifyFd(g.fd);
+}
+
+void GuestLib::ReturnRecvCredit(GSock& g, uint32_t size) {
+  if (g.dgram) {
+    // Datagram receive credit returns through the NQE channel (the kRecvFrom
+    // verb) so the NSM resumes shipping.
+    EnqueueJob(g, MakeNqe(NqeOp::kRecvFrom, vm_id_, 0, g.handle, size));
+  } else if (recv_credit_cb_) {
+    // Stream credit returns through shared memory (the NSM observes the freed
+    // chunk and resumes shipping).
+    recv_credit_cb_(g.handle, size);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // SocketApi
 // ---------------------------------------------------------------------------
 
-sim::Task<int> GuestLib::Socket(sim::CpuCore* core) {
-  // The guest kernel rewrites SOCK_STREAM to SOCK_NETKERNEL (§5): socket
-  // creation becomes a kSocket NQE answered by the NSM.
+sim::Task<int> GuestLib::CreateSocket(sim::CpuCore* core, bool dgram) {
+  // The guest kernel rewrites SOCK_STREAM and SOCK_DGRAM to SOCK_NETKERNEL
+  // (§5): socket creation becomes a kSocket or kSocketUdp NQE answered by
+  // the NSM, which learns from the verb which transport to create.
   GSock& g = NewSock(core);
-  int fd = g.fd;
-  int r = co_await DoControlOp(core, g, MakeNqe(NqeOp::kSocket, vm_id_, 0, g.handle));
-  if (r != 0) co_return r;
+  g.dgram = dgram;
+  const int fd = g.fd;
+  const uint32_t handle = g.handle;
+  int r = co_await DoControlOp(
+      core, g, MakeNqe(dgram ? NqeOp::kSocketUdp : NqeOp::kSocket, vm_id_, 0, handle));
+  if (r != 0) {
+    // Refused (no NSM, or a shared-memory NSM has no datagram transport):
+    // the app never sees the fd, so reclaim it here.
+    if (FindByHandle(handle) != nullptr) {
+      fd_to_handle_.erase(fd);
+      socks_.erase(handle);
+    }
+    co_return r;
+  }
   co_return fd;
 }
 
@@ -195,7 +248,7 @@ sim::Task<int> GuestLib::Listen(sim::CpuCore* core, int fd, int backlog, bool re
 sim::Task<int> GuestLib::Connect(sim::CpuCore* core, int fd, netsim::IpAddr ip, uint16_t port) {
   GSock* g = FindByFd(fd);
   if (g == nullptr) co_return tcp::kNotConnected;
-  co_await core->Work(config_.syscall + config_.costs.guestlib_translate);
+  co_await core->Work(kSyscall + config_.costs.guestlib_translate);
   uint32_t handle = g->handle;
   EnqueueJob(*g, MakeNqe(NqeOp::kConnect, vm_id_, 0, g->handle, shm::PackAddr(ip, port)));
   for (;;) {
@@ -210,7 +263,7 @@ sim::Task<int> GuestLib::Connect(sim::CpuCore* core, int fd, netsim::IpAddr ip, 
 }
 
 sim::Task<int> GuestLib::Accept(sim::CpuCore* core, int fd) {
-  co_await core->Work(config_.syscall);
+  co_await core->Work(kSyscall);
   for (;;) {
     GSock* g = FindByFd(fd);
     if (g == nullptr) co_return tcp::kNotConnected;
@@ -240,7 +293,7 @@ sim::Task<int64_t> GuestLib::Send(sim::CpuCore* core, int fd, const uint8_t* dat
 
 sim::Task<int64_t> GuestLib::Sendv(sim::CpuCore* core, int fd, const NkConstIoVec* iov,
                                    int iovcnt) {
-  co_await core->Work(config_.syscall + config_.costs.guestlib_translate);
+  co_await core->Work(kSyscall + config_.costs.guestlib_translate);
   uint64_t total = 0;
   for (int i = 0; i < iovcnt; ++i) total += iov[i].len;
   uint64_t sent = 0;
@@ -253,32 +306,17 @@ sim::Task<int64_t> GuestLib::Sendv(sim::CpuCore* core, int fd, const NkConstIoVe
     handle = g->handle;
   }
   while (sent < total) {
-    GSock* g = FindByHandle(handle);
-    if (g == nullptr) co_return tcp::kConnReset;
-    if (g->error) co_return g->err;
-    if (!g->connected) co_return tcp::kNotConnected;
-    uint32_t chunk = static_cast<uint32_t>(
+    const uint32_t chunk = static_cast<uint32_t>(
         std::min<uint64_t>(shm::HugepagePool::kMaxChunk, total - sent));
-    if (g->send_usage + chunk > g->send_limit) {
-      co_await g->ev->Wait();  // kSendResult returns credits
-      continue;
-    }
-    uint64_t off = pool_->Alloc(chunk);
-    if (off == shm::HugepagePool::kInvalidOffset) {
-      // Hugepage region exhausted: wait for in-flight sends to drain.
-      if (g->send_usage > 0) {
-        co_await g->ev->Wait();
-      } else {
-        co_await sim::Delay(loop_, 50 * kMicrosecond);
-      }
-      continue;
-    }
+    uint64_t off = 0;
+    int r = co_await ReserveTx(handle, chunk, true, tcp::kConnReset, &off);
+    if (r != 0) co_return r;
     // Copy payload from userspace into the shared hugepages (§4.5), gathering
     // across the iovecs. This is the copy the zero-copy path (AcquireTxBuf +
     // SendBuf) eliminates by having the app fill the chunk in place.
     co_await core->Work(
         static_cast<Cycles>(config_.costs.hugepage_copy_per_byte * chunk));
-    g = FindByHandle(handle);
+    GSock* g = FindByHandle(handle);
     if (g == nullptr) {
       pool_->Free(off);
       co_return tcp::kConnReset;
@@ -308,124 +346,125 @@ sim::Task<int64_t> GuestLib::Sendv(sim::CpuCore* core, int fd, const NkConstIoVe
 // ---------------------------------------------------------------------------
 
 sim::Task<int> GuestLib::AcquireTxBuf(sim::CpuCore* core, int fd, uint32_t len, NkBuf* out) {
-  co_await core->Work(config_.syscall);
+  co_await core->Work(kSyscall);
   uint32_t handle;
+  bool dgram;
   {
     GSock* g = FindByFd(fd);
     if (g == nullptr) co_return tcp::kNotConnected;
     handle = g->handle;
+    dgram = g->dgram;
   }
   const uint32_t want =
       std::max<uint32_t>(1, std::min<uint32_t>(len, shm::HugepagePool::kMaxChunk));
-  for (;;) {
-    GSock* g = FindByHandle(handle);
-    if (g == nullptr) co_return tcp::kConnReset;
-    if (g->error) co_return g->err;
-    // A datagram loan needs no connection; a stream loan does.
-    if (!g->dgram && !g->connected) co_return tcp::kNotConnected;
-    // The credit is reserved at acquire time: an application sitting on a
-    // loan holds send-buffer space, exactly like bytes it had written.
-    if (g->send_usage + want > g->send_limit) {
-      co_await g->ev->Wait();
-      continue;
-    }
-    uint64_t off = pool_->Alloc(want);
-    if (off == shm::HugepagePool::kInvalidOffset) {
-      if (g->send_usage > 0) {
-        co_await g->ev->Wait();
-      } else {
-        co_await sim::Delay(loop_, 50 * kMicrosecond);
-      }
-      continue;
-    }
-    g->send_usage += want;
-    g->tx_loans[off] = want;
-    out->handle = off;
-    out->data = pool_->Data(off);
-    out->capacity = want;
-    out->size = 0;
-    co_return 0;
-  }
+  // A datagram loan needs no connection; a stream loan does.
+  uint64_t off = 0;
+  int r = co_await ReserveTx(handle, want, !dgram, tcp::kConnReset, &off);
+  if (r != 0) co_return r;
+  // The credit is reserved at acquire time: an application sitting on a
+  // loan holds send-buffer space, exactly like bytes it had written.
+  GSock* g = FindByHandle(handle);
+  g->send_usage += want;
+  g->tx_loans[off] = want;
+  out->handle = off;
+  out->data = pool_->Data(off);
+  out->capacity = want;
+  out->size = 0;
+  co_return 0;
 }
 
-sim::Task<int64_t> GuestLib::SendBuf(sim::CpuCore* core, int fd, NkBuf buf) {
-  co_await core->Work(config_.syscall + config_.costs.guestlib_translate);
+// The one loan submit: SendBuf (dgram = false) and SendToBuf (dgram = true).
+sim::Task<int64_t> GuestLib::SubmitLoan(sim::CpuCore* core, int fd, NkBuf buf, bool dgram,
+                                        uint64_t dst) {
+  co_await core->Work(kSyscall + config_.costs.guestlib_translate);
   GSock* g = FindByFd(fd);
-  if (g == nullptr) co_return tcp::kNotConnected;  // Close() revoked the loan
+  // Close() revoked the loan.
+  if (g == nullptr) co_return BadFd(dgram);
   auto it = g->tx_loans.find(buf.handle);
   if (it == g->tx_loans.end()) co_return tcp::kInvalidArg;
   const uint32_t reserved = it->second;
   const uint32_t n = std::min(buf.size, reserved);
   g->tx_loans.erase(it);
-  auto release_credit = [this, g](uint32_t bytes) {
-    g->send_usage = g->send_usage > bytes ? g->send_usage - bytes : 0;
-    g->ev->NotifyAll();
-    epolls_.NotifyFd(g->fd);
-  };
-  if (g->error || !g->connected || n == 0) {
+  // A loan that cannot go out (wrong socket kind, dead socket, or empty)
+  // returns its chunk and its whole credit now.
+  bool revoke = n == 0;
+  int err = 0;
+  if (dgram && !g->dgram) {
+    revoke = true;
+    err = udp::kBadSocket;
+  } else if (g->error) {
+    revoke = true;
+    err = g->err;
+  } else if (!dgram && !g->connected) {
+    revoke = true;
+    err = tcp::kNotConnected;
+  }
+  if (revoke) {
     pool_->Free(buf.handle);
-    release_credit(reserved);
-    if (g->error) co_return g->err;
-    if (!g->connected) co_return tcp::kNotConnected;
-    co_return 0;
+    ReturnSendCredit(*g, reserved);
+    co_return err;
   }
   // No copy: ownership of the filled chunk transfers as-is. The reserved
-  // credit for unfilled capacity returns now; the rest returns only when the
-  // byte range is ACKed (kSendZcComplete).
-  if (n < reserved) release_credit(reserved - n);
-  ++zc_sends_;
-  EnqueueSend(*g, MakeNqe(NqeOp::kSendZc, vm_id_, 0, g->handle, 0, buf.handle, n));
+  // credit for unfilled capacity returns now; the rest returns when the byte
+  // range is ACKed (kSendZcComplete) or the NSM commits the wire datagram
+  // (kSendToResult with orig kSendToZc).
+  if (n < reserved) ReturnSendCredit(*g, reserved - n);
+  NqeOp op = NqeOp::kSendZc;
+  if (dgram) {
+    op = NqeOp::kSendToZc;
+    ++dgram_zc_sends_;
+  } else {
+    ++zc_sends_;
+  }
+  EnqueueSend(*g, MakeNqe(op, vm_id_, 0, g->handle, dst, buf.handle, n));
   co_return static_cast<int64_t>(n);
 }
 
-sim::Task<int64_t> GuestLib::RecvBuf(sim::CpuCore* core, int fd, NkBuf* out) {
-  co_await core->Work(config_.syscall);
+// The one loan receive: RecvBuf (dgram = false) and RecvFromBuf (dgram = true).
+sim::Task<int64_t> GuestLib::LoanRecv(sim::CpuCore* core, int fd, NkBuf* out, bool dgram,
+                                      netsim::IpAddr* src_ip, uint16_t* src_port) {
+  co_await core->Work(kSyscall);
   uint32_t handle;
   {
     GSock* g = FindByFd(fd);
-    if (g == nullptr || g->dgram) co_return tcp::kNotConnected;
+    if (g == nullptr || g->dgram != dgram) co_return BadFd(dgram);
     handle = g->handle;
   }
   for (;;) {
     GSock* g = FindByHandle(handle);
-    if (g == nullptr) co_return 0;
-    if (g->rx_bytes > 0) {
+    if (g == nullptr) co_return dgram ? udp::kBadSocket : 0;
+    if (dgram ? !g->rx.empty() : g->rx_bytes > 0) {
       // Loan the front chunk to the application as-is — no hugepage->app
       // copy. The receive credit (the full chunk) returns at ReleaseBuf.
       RxChunk c = g->rx.front();
       g->rx.pop_front();
       const uint32_t avail = c.size - c.consumed;
       g->rx_bytes -= avail;
-      g->rx_loans[c.ptr] = GSock::RxLoan{c.size, false};
+      g->rx_loans[c.ptr] = c.size;
       out->handle = c.ptr;
       out->data = pool_->Data(c.ptr + c.consumed);
       out->capacity = avail;
       out->size = avail;
+      if (src_ip != nullptr) *src_ip = shm::AddrIp(c.src);
+      if (src_port != nullptr) *src_port = shm::AddrPort(c.src);
       co_return static_cast<int64_t>(avail);
     }
-    if (g->fin) co_return 0;
+    if (!dgram && g->fin) co_return 0;
     if (g->error) co_return g->err;
     co_await g->ev->Wait();
   }
 }
 
 sim::Task<int> GuestLib::ReleaseBuf(sim::CpuCore* core, int fd, NkBuf buf) {
-  co_await core->Work(config_.syscall);
+  co_await core->Work(kSyscall);
   GSock* g = FindByFd(fd);
   if (g == nullptr) co_return tcp::kNotConnected;  // Close() revoked the loan
   auto rit = g->rx_loans.find(buf.handle);
   if (rit != g->rx_loans.end()) {
-    const GSock::RxLoan loan = rit->second;
+    const uint32_t size = rit->second;
     g->rx_loans.erase(rit);
     pool_->Free(buf.handle);
-    if (loan.dgram) {
-      // Datagram receive credit returns through the NQE channel (kRecvFrom),
-      // exactly like the copying RecvFrom path.
-      EnqueueJob(*g, MakeNqe(NqeOp::kRecvFrom, vm_id_, 0, g->handle, loan.size));
-    } else if (recv_credit_cb_) {
-      // Ring the stream receive-credit channel so the NSM resumes shipping.
-      recv_credit_cb_(g->handle, loan.size);
-    }
+    ReturnRecvCredit(*g, size);
     co_return 0;
   }
   auto tit = g->tx_loans.find(buf.handle);
@@ -433,37 +472,15 @@ sim::Task<int> GuestLib::ReleaseBuf(sim::CpuCore* core, int fd, NkBuf buf) {
     const uint32_t reserved = tit->second;
     g->tx_loans.erase(tit);
     pool_->Free(buf.handle);
-    g->send_usage = g->send_usage > reserved ? g->send_usage - reserved : 0;
-    g->ev->NotifyAll();
-    epolls_.NotifyFd(g->fd);
+    ReturnSendCredit(*g, reserved);
     co_return 0;
   }
   co_return tcp::kInvalidArg;
 }
 
-sim::Task<int> GuestLib::SocketDgram(sim::CpuCore* core) {
-  // SOCK_DGRAM is rewritten to SOCK_NETKERNEL just like SOCK_STREAM (§5);
-  // only the NQE verb differs, so the NSM knows to create a UDP socket.
-  GSock& g = NewSock(core);
-  g.dgram = true;
-  int fd = g.fd;
-  uint32_t handle = g.handle;
-  int r = co_await DoControlOp(core, g, MakeNqe(NqeOp::kSocketUdp, vm_id_, 0, handle));
-  if (r != 0) {
-    // The NSM rejected the socket (e.g. a shared-memory NSM has no datagram
-    // transport); the app never sees the fd, so reclaim it here.
-    if (FindByHandle(handle) != nullptr) {
-      fd_to_handle_.erase(fd);
-      socks_.erase(handle);
-    }
-    co_return r;
-  }
-  co_return fd;
-}
-
 sim::Task<int64_t> GuestLib::SendTo(sim::CpuCore* core, int fd, netsim::IpAddr dst_ip,
                                     uint16_t dst_port, const uint8_t* data, uint64_t len) {
-  co_await core->Work(config_.syscall + config_.costs.guestlib_translate);
+  co_await core->Work(kSyscall + config_.costs.guestlib_translate);
   uint32_t handle;
   {
     GSock* g = FindByFd(fd);
@@ -474,43 +491,28 @@ sim::Task<int64_t> GuestLib::SendTo(sim::CpuCore* core, int fd, netsim::IpAddr d
     co_return udp::kMsgSize;
   }
   const uint32_t size = static_cast<uint32_t>(len);
-  for (;;) {
-    GSock* g = FindByHandle(handle);
-    if (g == nullptr) co_return udp::kBadSocket;
-    if (g->error) co_return g->err;
-    // A datagram is sent whole or not at all; wait for send credit for all
-    // of it (kSendToResult returns credits as the NSM transmits).
-    if (g->send_usage + size > g->send_limit) {
-      co_await g->ev->Wait();
-      continue;
-    }
-    uint64_t off = pool_->Alloc(size > 0 ? size : 1);
-    if (off == shm::HugepagePool::kInvalidOffset) {
-      if (g->send_usage > 0) {
-        co_await g->ev->Wait();
-      } else {
-        co_await sim::Delay(loop_, 50 * kMicrosecond);
-      }
-      continue;
-    }
-    // Copy payload from userspace into the shared hugepages (§4.5).
-    co_await core->Work(static_cast<Cycles>(config_.costs.hugepage_copy_per_byte * size));
-    g = FindByHandle(handle);
-    if (g == nullptr) {
-      pool_->Free(off);
-      co_return udp::kBadSocket;
-    }
-    if (size > 0) std::memcpy(pool_->Data(off), data, size);
-    g->send_usage += size;
-    EnqueueSend(*g, MakeNqe(NqeOp::kSendTo, vm_id_, 0, handle,
-                            shm::PackAddr(dst_ip, dst_port), off, size));
-    co_return static_cast<int64_t>(size);
+  // A datagram is sent whole or not at all: the reservation waits for
+  // credit for all of it (kSendToResult returns credits as the NSM transmits).
+  uint64_t off = 0;
+  int r = co_await ReserveTx(handle, size, false, udp::kBadSocket, &off);
+  if (r != 0) co_return r;
+  // Copy payload from userspace into the shared hugepages (§4.5).
+  co_await core->Work(static_cast<Cycles>(config_.costs.hugepage_copy_per_byte * size));
+  GSock* g = FindByHandle(handle);
+  if (g == nullptr) {
+    pool_->Free(off);
+    co_return udp::kBadSocket;
   }
+  if (size > 0) std::memcpy(pool_->Data(off), data, size);
+  g->send_usage += size;
+  EnqueueSend(*g, MakeNqe(NqeOp::kSendTo, vm_id_, 0, handle, shm::PackAddr(dst_ip, dst_port),
+                          off, size));
+  co_return static_cast<int64_t>(size);
 }
 
 sim::Task<int64_t> GuestLib::RecvFrom(sim::CpuCore* core, int fd, uint8_t* out, uint64_t max,
                                       netsim::IpAddr* src_ip, uint16_t* src_port) {
-  co_await core->Work(config_.syscall);
+  co_await core->Work(kSyscall);
   uint32_t handle;
   {
     GSock* g = FindByFd(fd);
@@ -520,87 +522,19 @@ sim::Task<int64_t> GuestLib::RecvFrom(sim::CpuCore* core, int fd, uint8_t* out, 
   for (;;) {
     GSock* g = FindByHandle(handle);
     if (g == nullptr) co_return udp::kBadSocket;
-    if (!g->drx.empty()) {
-      DgramChunk c = g->drx.front();
-      g->drx.pop_front();
-      g->drx_bytes -= c.size;
+    if (!g->rx.empty()) {
+      RxChunk c = g->rx.front();
+      g->rx.pop_front();
+      g->rx_bytes -= c.size;
       uint32_t n = static_cast<uint32_t>(std::min<uint64_t>(c.size, max));
       co_await core->Work(static_cast<Cycles>(config_.costs.hugepage_copy_per_byte * n));
       if (n > 0 && out != nullptr) std::memcpy(out, pool_->Data(c.ptr), n);
       pool_->Free(c.ptr);
       if (src_ip != nullptr) *src_ip = shm::AddrIp(c.src);
       if (src_port != nullptr) *src_port = shm::AddrPort(c.src);
-      // Return the datagram receive credit through the NQE channel so the
-      // NSM resumes shipping (the kRecvFrom verb).
       GSock* g2 = FindByHandle(handle);
-      if (g2 != nullptr) {
-        EnqueueJob(*g2, MakeNqe(NqeOp::kRecvFrom, vm_id_, 0, handle, c.size));
-      }
+      if (g2 != nullptr) ReturnRecvCredit(*g2, c.size);
       co_return static_cast<int64_t>(n);
-    }
-    if (g->error) co_return g->err;
-    co_await g->ev->Wait();
-  }
-}
-
-sim::Task<int64_t> GuestLib::SendToBuf(sim::CpuCore* core, int fd, netsim::IpAddr dst_ip,
-                                       uint16_t dst_port, NkBuf buf) {
-  co_await core->Work(config_.syscall + config_.costs.guestlib_translate);
-  GSock* g = FindByFd(fd);
-  if (g == nullptr) co_return udp::kBadSocket;  // Close() revoked the loan
-  auto it = g->tx_loans.find(buf.handle);
-  if (it == g->tx_loans.end()) co_return tcp::kInvalidArg;
-  const uint32_t reserved = it->second;
-  const uint32_t n = std::min(buf.size, reserved);
-  g->tx_loans.erase(it);
-  auto release_credit = [this, g](uint32_t bytes) {
-    g->send_usage = g->send_usage > bytes ? g->send_usage - bytes : 0;
-    g->ev->NotifyAll();
-    epolls_.NotifyFd(g->fd);
-  };
-  if (!g->dgram || g->error || n == 0) {
-    pool_->Free(buf.handle);
-    release_credit(reserved);
-    if (!g->dgram) co_return udp::kBadSocket;
-    if (g->error) co_return g->err;
-    co_return 0;
-  }
-  // No copy: the filled chunk transfers as-is; the credit for unfilled
-  // capacity returns now, the rest when the NSM commits the wire datagram
-  // (kSendToResult with orig kSendToZc).
-  if (n < reserved) release_credit(reserved - n);
-  ++dgram_zc_sends_;
-  EnqueueSend(*g, MakeNqe(NqeOp::kSendToZc, vm_id_, 0, g->handle,
-                          shm::PackAddr(dst_ip, dst_port), buf.handle, n));
-  co_return static_cast<int64_t>(n);
-}
-
-sim::Task<int64_t> GuestLib::RecvFromBuf(sim::CpuCore* core, int fd, NkBuf* out,
-                                         netsim::IpAddr* src_ip, uint16_t* src_port) {
-  co_await core->Work(config_.syscall);
-  uint32_t handle;
-  {
-    GSock* g = FindByFd(fd);
-    if (g == nullptr || !g->dgram) co_return udp::kBadSocket;
-    handle = g->handle;
-  }
-  for (;;) {
-    GSock* g = FindByHandle(handle);
-    if (g == nullptr) co_return udp::kBadSocket;
-    if (!g->drx.empty()) {
-      // Loan the whole datagram chunk to the application — no hugepage->app
-      // copy; the receive credit returns at ReleaseBuf via kRecvFrom.
-      DgramChunk c = g->drx.front();
-      g->drx.pop_front();
-      g->drx_bytes -= c.size;
-      g->rx_loans[c.ptr] = GSock::RxLoan{c.size, true};
-      out->handle = c.ptr;
-      out->data = pool_->Data(c.ptr);
-      out->capacity = c.size;
-      out->size = c.size;
-      if (src_ip != nullptr) *src_ip = shm::AddrIp(c.src);
-      if (src_port != nullptr) *src_port = shm::AddrPort(c.src);
-      co_return static_cast<int64_t>(c.size);
     }
     if (g->error) co_return g->err;
     co_await g->ev->Wait();
@@ -615,7 +549,7 @@ sim::Task<int64_t> GuestLib::Recv(sim::CpuCore* core, int fd, uint8_t* out, uint
 
 sim::Task<int64_t> GuestLib::Recvv(sim::CpuCore* core, int fd, const NkIoVec* iov,
                                    int iovcnt) {
-  co_await core->Work(config_.syscall);
+  co_await core->Work(kSyscall);
   uint64_t total = 0;
   for (int i = 0; i < iovcnt; ++i) total += iov[i].len;
   if (total == 0) co_return 0;  // zero-capacity read never blocks
@@ -628,7 +562,8 @@ sim::Task<int64_t> GuestLib::Recvv(sim::CpuCore* core, int fd, const NkIoVec* io
   for (;;) {
     GSock* g = FindByHandle(handle);
     if (g == nullptr) co_return 0;
-    if (g->rx_bytes > 0) {
+    // Datagrams are read whole by RecvFrom, never as a byte stream.
+    if (!g->dgram && g->rx_bytes > 0) {
       uint64_t target = std::min(g->rx_bytes, total);
       // Copy from hugepages to the application buffers (§4.5) — the copy the
       // zero-copy path (RecvBuf/ReleaseBuf) eliminates by loaning the chunk.
@@ -657,9 +592,7 @@ sim::Task<int64_t> GuestLib::Recvv(sim::CpuCore* core, int fd, const NkIoVec* io
           pool_->Free(c.ptr);
           uint32_t sz = c.size;
           g->rx.pop_front();
-          // Return receive credit through shared memory (the NSM observes the
-          // freed chunk and resumes shipping).
-          if (recv_credit_cb_) recv_credit_cb_(handle, sz);
+          ReturnRecvCredit(*g, sz);
           g = FindByHandle(handle);  // the credit callback may close sockets
           if (g == nullptr) co_return static_cast<int64_t>(copied);
         }
@@ -673,7 +606,7 @@ sim::Task<int64_t> GuestLib::Recvv(sim::CpuCore* core, int fd, const NkIoVec* io
 }
 
 sim::Task<int> GuestLib::Close(sim::CpuCore* core, int fd) {
-  co_await core->Work(config_.syscall + config_.costs.guestlib_translate);
+  co_await core->Work(kSyscall + config_.costs.guestlib_translate);
   GSock* g = FindByFd(fd);
   if (g == nullptr) co_return tcp::kNotConnected;
   // A listening socket may hold accepted-but-unclaimed connections: link each
@@ -692,8 +625,6 @@ sim::Task<int> GuestLib::Close(sim::CpuCore* core, int fd) {
   EnqueueJob(*g, MakeNqe(NqeOp::kClose, vm_id_, 0, g->handle));
   for (RxChunk& c : g->rx) pool_->Free(c.ptr);
   g->rx.clear();
-  for (DgramChunk& c : g->drx) pool_->Free(c.ptr);
-  g->drx.clear();
   // Revoke outstanding zero-copy loans: the app's pointers die with the fd.
   for (const auto& [off, sz] : g->tx_loans) pool_->Free(off);
   g->tx_loans.clear();
@@ -707,9 +638,9 @@ sim::Task<int> GuestLib::Close(sim::CpuCore* core, int fd) {
 
 sim::Task<std::vector<EpollEvent>> GuestLib::EpollWait(sim::CpuCore* core, int epfd,
                                                        size_t max_events, SimTime timeout) {
-  co_await core->Work(config_.syscall);
+  co_await core->Work(kSyscall);
   std::vector<EpollEvent> evs = co_await epolls_.Wait(epfd, max_events, timeout);
-  co_await core->Work(config_.epoll_wakeup + config_.epoll_fetch * evs.size());
+  co_await core->Work(kEpollWakeup + kEpollFetch * evs.size());
   co_return evs;
 }
 
@@ -742,7 +673,7 @@ void GuestLib::ProcessInbound(int qs) {
   // picked up by the poll loop; outside it CoreEngine's wakeup interrupt
   // costs device_wakeup cycles.
   const SimTime now = loop_->Now();
-  Cycles cost = config_.nqe_parse * static_cast<Cycles>(n);
+  Cycles cost = kNqeParse * static_cast<Cycles>(n);
   if (now >= poll_until_[qs]) cost += config_.costs.device_wakeup;
 
   std::vector<Nqe> nqes(buf, buf + n);
@@ -762,47 +693,48 @@ void GuestLib::ProcessInbound(int qs) {
   });
 }
 
+bool GuestLib::FreeInboundChunk(uint64_t off) {
+  // The offset comes off a shared ring: free only what the pool actually has
+  // allocated, or a forged completion aborts the whole guest.
+  if (pool_->IsAllocated(off)) {
+    pool_->Free(off);
+    return true;
+  }
+  ++guard_bad_frees_;
+  return false;
+}
+
 void GuestLib::ApplyInbound(const Nqe& nqe) {
-  if (nqe.Op() == NqeOp::kNsmRehomed) {
+  const NqeOp op = nqe.Op();
+  if (op == NqeOp::kNsmRehomed) {
     // Per-VM notification (vm_sock = 0): handled before the socket lookup.
     OnNsmRehomed(static_cast<uint8_t>(nqe.op_data));
     return;
   }
+  // Send completions count, and reclaim their chunk, whether or not the
+  // socket is still open. One flagged unconsumed is a send CoreEngine could
+  // not deliver (no NSM, or switch overload beyond the pending bound): the
+  // untouched payload chunk still belongs to this guest.
+  const bool unconsumed =
+      (op == NqeOp::kSendResult || op == NqeOp::kSendToResult || op == NqeOp::kSendZcComplete) &&
+      nqe.reserved[1] == shm::kNqeFlagChunkUnconsumed;
+  if (unconsumed && FreeInboundChunk(nqe.data_ptr)) ++send_credit_reclaims_;
+  if (op == NqeOp::kSendZcComplete) ++zc_completions_;
+  if (op == NqeOp::kSendToResult && static_cast<NqeOp>(nqe.reserved[0]) == NqeOp::kSendToZc) {
+    ++dgram_zc_completions_;
+  }
   GSock* g = FindByHandle(nqe.vm_sock);
   if (g == nullptr) {
-    // Socket already closed; free any referenced hugepage chunk. A datagram
-    // NQE always references a chunk — even a zero-length datagram rides in a
-    // minimal allocation.
-    if (nqe.Op() == NqeOp::kDgramRecv || nqe.Op() == NqeOp::kDgramRecvZc ||
-        (nqe.Op() == NqeOp::kRecvData && nqe.size > 0)) {
-      // The offset comes off a shared ring: free only what the pool actually
-      // has allocated, or a forged completion aborts the whole guest.
-      if (pool_->IsAllocated(nqe.data_ptr)) {
-        pool_->Free(nqe.data_ptr);
-      } else {
-        ++guard_bad_frees_;
-      }
-    }
-    // CoreEngine-rejected send whose socket closed meanwhile: the payload
-    // chunk was never consumed and still belongs to this guest.
-    if ((nqe.Op() == NqeOp::kSendResult || nqe.Op() == NqeOp::kSendToResult ||
-         nqe.Op() == NqeOp::kSendZcComplete) &&
-        nqe.reserved[1] == shm::kNqeFlagChunkUnconsumed) {
-      if (pool_->IsAllocated(nqe.data_ptr)) {
-        pool_->Free(nqe.data_ptr);
-        ++send_credit_reclaims_;
-      } else {
-        ++guard_bad_frees_;
-      }
-    }
-    if (nqe.Op() == NqeOp::kSendZcComplete) ++zc_completions_;
-    if (nqe.Op() == NqeOp::kSendToResult &&
-        static_cast<NqeOp>(nqe.reserved[0]) == NqeOp::kSendToZc) {
-      ++dgram_zc_completions_;
+    // Socket already closed; free any received chunk. A datagram NQE always
+    // references a chunk — even a zero-length datagram rides in a minimal
+    // allocation.
+    if (op == NqeOp::kDgramRecv || op == NqeOp::kDgramRecvZc ||
+        (op == NqeOp::kRecvData && nqe.size > 0)) {
+      FreeInboundChunk(nqe.data_ptr);
     }
     return;
   }
-  switch (nqe.Op()) {
+  switch (op) {
     case NqeOp::kOpResult:
       g->op_done = true;
       g->op_result = static_cast<int32_t>(nqe.size);
@@ -816,62 +748,27 @@ void GuestLib::ApplyInbound(const Nqe& nqe) {
       g->pending_conns.push_back(nqe.op_data);
       break;
     case NqeOp::kSendResult:
-    case NqeOp::kSendToResult: {
-      uint64_t bytes = nqe.op_data;
-      g->send_usage = g->send_usage > bytes ? g->send_usage - bytes : 0;
-      if (static_cast<NqeOp>(nqe.reserved[0]) == NqeOp::kSendToZc) {
-        ++dgram_zc_completions_;
-      }
-      if (nqe.reserved[1] == shm::kNqeFlagChunkUnconsumed) {
-        // CoreEngine could not deliver the send (no NSM, or switch overload
-        // beyond the pending bound): reclaim the untouched payload chunk.
-        // A lost stream write breaks the byte stream, so the TCP socket is
-        // errored; a lost datagram is ordinary UDP loss.
-        if (pool_->IsAllocated(nqe.data_ptr)) {
-          pool_->Free(nqe.data_ptr);
-          ++send_credit_reclaims_;
-        } else {
-          ++guard_bad_frees_;
-        }
-        if (nqe.Op() == NqeOp::kSendResult) {
-          g->error = true;
-          g->err = static_cast<int32_t>(nqe.size);
-        }
-      }
-      break;
-    }
-    case NqeOp::kSendZcComplete: {
-      // Zero-copy send retired: the byte range was ACKed (the NSM freed the
-      // chunk into the shared pool) — or the switch failed it before any
-      // consumer saw it, in which case the untouched chunk is still ours.
-      uint64_t bytes = nqe.op_data;
-      g->send_usage = g->send_usage > bytes ? g->send_usage - bytes : 0;
-      ++zc_completions_;
-      if (nqe.reserved[1] == shm::kNqeFlagChunkUnconsumed) {
-        if (pool_->IsAllocated(nqe.data_ptr)) {
-          pool_->Free(nqe.data_ptr);
-          ++send_credit_reclaims_;
-        } else {
-          ++guard_bad_frees_;
-        }
-        // A lost zero-copy stream write breaks the byte stream.
-        g->error = true;
-        g->err = static_cast<int32_t>(nqe.size);
-      } else if (static_cast<int32_t>(nqe.size) != 0) {
+    case NqeOp::kSendToResult:
+    case NqeOp::kSendZcComplete:
+      // Credit returns once a copy send's bytes reached the NSM stack, a
+      // zero-copy stream send's range is ACKed (the NSM freed the chunk into
+      // the shared pool) or a zero-copy datagram hit the wire.
+      ReturnSendCredit(*g, nqe.op_data);
+      // A lost stream write breaks the byte stream, so the TCP socket is
+      // errored, as is a zero-copy stream send retired with an error status;
+      // a lost datagram is ordinary UDP loss.
+      if (op != NqeOp::kSendToResult &&
+          (unconsumed || (op == NqeOp::kSendZcComplete && static_cast<int32_t>(nqe.size) != 0))) {
         g->error = true;
         g->err = static_cast<int32_t>(nqe.size);
       }
       break;
-    }
     case NqeOp::kDgramRecvZc:
       ++dgram_zc_recvs_;
       [[fallthrough]];
     case NqeOp::kDgramRecv:
-      g->drx.push_back(DgramChunk{nqe.data_ptr, nqe.size, nqe.op_data});
-      g->drx_bytes += nqe.size;
-      break;
     case NqeOp::kRecvData:
-      g->rx.push_back(RxChunk{nqe.data_ptr, nqe.size, 0});
+      g->rx.push_back(RxChunk{nqe.data_ptr, nqe.size, 0, nqe.op_data});
       g->rx_bytes += nqe.size;
       break;
     case NqeOp::kFinReceived:

@@ -7,13 +7,20 @@
 // into NQEs. Here it implements the same SocketApi as the Baseline, so
 // unmodified applications run on either architecture.
 //
-// Datapath reproduced from the paper:
+// Datapath reproduced from the paper, one path for stream and datagram
+// sockets alike:
 //   * control ops -> job queue; results <- completion queue;
-//   * send() copies payload into the shared hugepage region and enqueues a
-//     kSend NQE carrying the data pointer (send queue), returning once the
-//     bytes are buffered (pipelining, §4.6) subject to send-buffer credits;
-//   * received data arrives as kRecvData NQEs (receive queue) pointing at
-//     hugepage chunks; recv() copies out and frees the chunk;
+//   * one TX reservation: every send verb (Send/Sendv per chunk, SendTo,
+//     AcquireTxBuf) waits for send-buffer credit and carves its hugepage
+//     chunk through ReserveTx; copy sends then fill it and enqueue a
+//     kSend/kSendTo NQE carrying the data pointer (send queue), returning
+//     once the bytes are buffered (pipelining, §4.6);
+//   * one loan path: SendBuf/SendToBuf submit a filled loan as kSendZc/
+//     kSendToZc through SubmitLoan, RecvBuf/RecvFromBuf loan out a received
+//     chunk through LoanRecv;
+//   * one receive queue: kRecvData and kDgramRecv[Zc] NQEs (receive queue)
+//     point at hugepage chunks that land in GSock::rx; recv() copies out and
+//     frees the chunk, returning receive credit;
 //   * epoll is served from GuestLib state exactly like nk_poll: readiness is
 //     "are there receive-queue chunks (or a FIN) for this socket";
 //   * interrupt-driven polling (§4.6): the NK device polls for
@@ -41,20 +48,12 @@ class GuestLib : public SocketApi {
  public:
   struct Config {
     tcp::NetkernelCosts costs;
-    // Guest syscall/copy costs (the guest still runs a kernel).
-    Cycles syscall = 450;
-    Cycles nqe_parse = 60;   // per inbound NQE
-    Cycles epoll_wakeup = 1500;  // guest-kernel epoll wake (same as Baseline)
-    Cycles epoll_fetch = 250;    // per returned event
-    uint64_t sndbuf_bytes = 4 * kMiB;  // per-socket send-credit limit
   };
 
   // `vcpus[i]` owns queue set i of `dev`. The hugepage pool is the region
   // shared with this VM's NSM.
   GuestLib(sim::EventLoop* loop, uint8_t vm_id, CoreEngine* ce, shm::NkDevice* dev,
            shm::HugepagePool* pool, std::vector<sim::CpuCore*> vcpus, Config config);
-  GuestLib(sim::EventLoop* loop, uint8_t vm_id, CoreEngine* ce, shm::NkDevice* dev,
-           shm::HugepagePool* pool, std::vector<sim::CpuCore*> vcpus);
 
   // Shared-memory receive-credit channel: ServiceLib observes freed chunks.
   void SetRecvCreditCallback(std::function<void(uint32_t vm_sock, uint32_t bytes)> cb) {
@@ -64,7 +63,7 @@ class GuestLib : public SocketApi {
   sim::EventLoop* loop() override { return loop_; }
   uint8_t vm_id() const { return vm_id_; }
 
-  sim::Task<int> Socket(sim::CpuCore* core) override;
+  sim::Task<int> Socket(sim::CpuCore* core) override { return CreateSocket(core, false); }
   sim::Task<int> Bind(sim::CpuCore* core, int fd, netsim::IpAddr ip, uint16_t port) override;
   sim::Task<int> Listen(sim::CpuCore* core, int fd, int backlog, bool reuseport) override;
   sim::Task<int> Connect(sim::CpuCore* core, int fd, netsim::IpAddr ip, uint16_t port) override;
@@ -81,8 +80,12 @@ class GuestLib : public SocketApi {
   // The legacy Send/Recv above are thin copy shims over the same machinery
   // (Send gathers through Sendv; Recv scatters through Recvv).
   sim::Task<int> AcquireTxBuf(sim::CpuCore* core, int fd, uint32_t len, NkBuf* out) override;
-  sim::Task<int64_t> SendBuf(sim::CpuCore* core, int fd, NkBuf buf) override;
-  sim::Task<int64_t> RecvBuf(sim::CpuCore* core, int fd, NkBuf* out) override;
+  sim::Task<int64_t> SendBuf(sim::CpuCore* core, int fd, NkBuf buf) override {
+    return SubmitLoan(core, fd, buf, false, 0);
+  }
+  sim::Task<int64_t> RecvBuf(sim::CpuCore* core, int fd, NkBuf* out) override {
+    return LoanRecv(core, fd, out, false, nullptr, nullptr);
+  }
   sim::Task<int> ReleaseBuf(sim::CpuCore* core, int fd, NkBuf buf) override;
   sim::Task<int64_t> Sendv(sim::CpuCore* core, int fd, const NkConstIoVec* iov,
                            int iovcnt) override;
@@ -91,7 +94,7 @@ class GuestLib : public SocketApi {
   // SOCK_DGRAM redirection: the same NQE channel carries datagram verbs
   // (kSocketUdp/kBindUdp/kSendTo/kRecvFrom) — the NQE protocol is transport
   // agnostic, which is the point of adding UDP without touching apps.
-  sim::Task<int> SocketDgram(sim::CpuCore* core) override;
+  sim::Task<int> SocketDgram(sim::CpuCore* core) override { return CreateSocket(core, true); }
   sim::Task<int64_t> SendTo(sim::CpuCore* core, int fd, netsim::IpAddr dst_ip, uint16_t dst_port,
                             const uint8_t* data, uint64_t len) override;
   sim::Task<int64_t> RecvFrom(sim::CpuCore* core, int fd, uint8_t* out, uint64_t max,
@@ -101,9 +104,13 @@ class GuestLib : public SocketApi {
   // loan hands the kDgramRecv[Zc] chunk to the app, credit returning through
   // the kRecvFrom channel at ReleaseBuf.
   sim::Task<int64_t> SendToBuf(sim::CpuCore* core, int fd, netsim::IpAddr dst_ip,
-                               uint16_t dst_port, NkBuf buf) override;
+                               uint16_t dst_port, NkBuf buf) override {
+    return SubmitLoan(core, fd, buf, true, shm::PackAddr(dst_ip, dst_port));
+  }
   sim::Task<int64_t> RecvFromBuf(sim::CpuCore* core, int fd, NkBuf* out, netsim::IpAddr* src_ip,
-                                 uint16_t* src_port) override;
+                                 uint16_t* src_port) override {
+    return LoanRecv(core, fd, out, true, src_ip, src_port);
+  }
 
   int EpollCreate() override { return epolls_.Create(); }
   int EpollCtl(int epfd, int fd, uint32_t mask) override { return epolls_.Ctl(epfd, fd, mask); }
@@ -143,16 +150,22 @@ class GuestLib : public SocketApi {
   void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
  private:
+  // Guest-kernel costs (the guest still runs a kernel) and the per-socket
+  // send-credit limit.
+  static constexpr Cycles kSyscall = 450;
+  static constexpr Cycles kNqeParse = 60;        // per inbound NQE
+  static constexpr Cycles kEpollWakeup = 1500;   // guest-kernel epoll wake (same as Baseline)
+  static constexpr Cycles kEpollFetch = 250;     // per returned event
+  static constexpr uint64_t kSendCredit = 4 * kMiB;
+
+  // One received hugepage chunk. A stream chunk is consumed piecewise by
+  // Recv; a datagram is always taken whole and carries its packed source
+  // address.
   struct RxChunk {
     uint64_t ptr = 0;
     uint32_t size = 0;
     uint32_t consumed = 0;
-  };
-  // One received datagram: a hugepage chunk plus the packed source address.
-  struct DgramChunk {
-    uint64_t ptr = 0;
-    uint32_t size = 0;
-    uint64_t src = 0;  // PackAddr(src_ip, src_port)
+    uint64_t src = 0;  // PackAddr(src_ip, src_port); datagrams only
   };
   struct GSock {
     uint32_t handle = 0;
@@ -172,26 +185,18 @@ class GuestLib : public SocketApi {
     bool connected = false;
     bool error = false;
     int err = 0;
-    // Receive.
+    // Receive queue, both kinds. Streams are readable while rx_bytes > 0 (or
+    // at FIN); datagrams while rx is non-empty, since a datagram may be empty.
     std::deque<RxChunk> rx;
     uint64_t rx_bytes = 0;
     bool fin = false;
-    // Datagram receive (whole datagrams, never partially consumed).
-    std::deque<DgramChunk> drx;
-    uint64_t drx_bytes = 0;
-    // Send credits.
+    // Send credit in use, against kSendCredit.
     uint64_t send_usage = 0;
-    uint64_t send_limit = 0;
     // Zero-copy loans keyed by pool offset. TX: acquired buffers whose credit
     // is reserved (value = reserved bytes). RX: chunks loaned to the app
-    // (size credited back on release; dgram loans return their credit through
-    // the kRecvFrom NQE channel instead of the shared-memory channel).
-    struct RxLoan {
-      uint32_t size = 0;
-      bool dgram = false;
-    };
+    // (value = chunk size, credited back on release).
     std::unordered_map<uint64_t, uint32_t> tx_loans;
-    std::unordered_map<uint64_t, RxLoan> rx_loans;
+    std::unordered_map<uint64_t, uint32_t> rx_loans;
     // Listener.
     bool listening = false;
     std::deque<uint64_t> pending_conns;  // NSM socket ids awaiting accept()
@@ -203,12 +208,36 @@ class GuestLib : public SocketApi {
   GSock& NewSock(sim::CpuCore* core);
   uint32_t Readiness(int fd);
 
-  void EnqueueJob(GSock& g, shm::Nqe nqe);
-  void EnqueueSend(GSock& g, shm::Nqe nqe);
-  void EnqueueRing(bool send_ring, int qset, shm::Nqe nqe);
+  void EnqueueJob(GSock& g, shm::Nqe nqe) { EnqueueRing(false, g, nqe); }
+  void EnqueueSend(GSock& g, shm::Nqe nqe) { EnqueueRing(true, g, nqe); }
+  void EnqueueRing(bool send_ring, GSock& g, shm::Nqe nqe);
   void FlushOverflow(int qset);
   // Issues a control op and waits for its completion NQE.
   sim::Task<int> DoControlOp(sim::CpuCore* core, GSock& g, shm::Nqe nqe);
+
+  // Socket()/SocketDgram(): a refused creation reclaims its socket.
+  sim::Task<int> CreateSocket(sim::CpuCore* core, bool dgram);
+  // The one TX reservation: waits for `size` bytes of send credit, then
+  // carves a hugepage chunk (backing off while the pool is exhausted).
+  // Returns 0 with *off set, `gone_err` if the socket closed meanwhile, its
+  // error if it errored, or kNotConnected when `need_conn` and it is not.
+  // The caller accounts the credit.
+  sim::Task<int> ReserveTx(uint32_t handle, uint32_t size, bool need_conn, int gone_err,
+                           uint64_t* off);
+  // The one loan submit (SendBuf/SendToBuf): the filled chunk leaves as a
+  // kSendZc or kSendToZc NQE; `dst` is the datagram destination.
+  sim::Task<int64_t> SubmitLoan(sim::CpuCore* core, int fd, NkBuf buf, bool dgram, uint64_t dst);
+  // The one loan receive (RecvBuf/RecvFromBuf): loans the front rx chunk.
+  sim::Task<int64_t> LoanRecv(sim::CpuCore* core, int fd, NkBuf* out, bool dgram,
+                              netsim::IpAddr* src_ip, uint16_t* src_port);
+  // Gives back send credit and wakes senders and epoll.
+  void ReturnSendCredit(GSock& g, uint64_t bytes);
+  // Gives back receive credit for a consumed chunk: datagram credit rides a
+  // kRecvFrom NQE, stream credit the shared-memory channel. May close sockets.
+  void ReturnRecvCredit(GSock& g, uint32_t size);
+  // Frees a chunk named by an inbound NQE if the pool really has it
+  // allocated; otherwise counts a guard_bad_free. True when freed.
+  bool FreeInboundChunk(uint64_t off);
 
   // Inbound NQE processing (interrupt-driven polling model).
   void OnDeviceWake();

@@ -164,10 +164,8 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
       DoConnect(nqe, *c);
       break;
     case NqeOp::kSend:
-      DoSend(nqe, *c);
-      break;
     case NqeOp::kSendZc:
-      DoSendZc(nqe, *c);
+      DoSend(nqe, *c);
       break;
     case NqeOp::kSendTo:
       DoSendTo(nqe, *c);
@@ -316,13 +314,7 @@ void ServiceLib::DoAcceptLink(const Nqe& nqe) {
   IndexSocket(c);
   InstallDataCallbacks(*c);
   // Replay any sends that overtook this link NQE.
-  for (const Nqe& send_nqe : TakeOrphans(c->vm_id, c->vm_sock)) {
-    if (send_nqe.Op() == NqeOp::kSendZc) {
-      DoSendZc(send_nqe, *c);
-    } else {
-      DoSend(send_nqe, *c);
-    }
-  }
+  for (const Nqe& send_nqe : TakeOrphans(c->vm_id, c->vm_sock)) DoSend(send_nqe, *c);
   ShipRecv(sid);  // data may have arrived before the link
 }
 
@@ -336,6 +328,12 @@ void ServiceLib::InstallDataCallbacks(Conn& c) {
   };
   cbs.on_error = [this, sid](int err) {
     Conn* c2 = FindBySid(sid);
+    if (c2 == nullptr) return;
+    // The stack socket is gone (peer RST, RTO give-up): unwind sends still
+    // queued for it, or they leak and a later kClose waits on them forever.
+    // Draining may finish a pending close and drop the Conn.
+    DrainPendingTx(*c2);
+    c2 = FindBySid(sid);
     if (c2 == nullptr || c2->fin_sent_to_vm) return;
     c2->fin_sent_to_vm = true;
     Nqe fin = MakeNqe(NqeOp::kFinReceived, 0, 0, 0, 0, 0, static_cast<uint32_t>(err));
@@ -348,6 +346,11 @@ void ServiceLib::InstallDataCallbacks(Conn& c) {
 // Send path: hugepages -> stack
 // ---------------------------------------------------------------------------
 
+// kSend and kSendZc. A copy send pays the hugepage->socket-buffer copy on the
+// connection's stack core (the overhead Table 6 quantifies); a zero-copy send
+// only takes a zero-cycle trip through that core, which keeps it in FIFO
+// order with copies still in flight there. Either way the chunk joins the
+// pending-transmit queue, whose drain unwinds it per kind if the socket died.
 void ServiceLib::DoSend(const Nqe& nqe, Conn& c) {
   auto vit = vms_.find(c.vm_id);
   if (vit == vms_.end()) return;
@@ -355,25 +358,18 @@ void ServiceLib::DoSend(const Nqe& nqe, Conn& c) {
   tcp::SocketId sid = c.sid;
   uint64_t ptr = nqe.data_ptr;
   uint32_t size = nqe.size;
-
-  // The copy from hugepages into the stack's socket buffer happens on the
-  // connection's stack core (this is the overhead Table 6 quantifies; the
-  // paper's planned zerocopy would remove it).
-  Cycles copy = static_cast<Cycles>(config_.costs.hugepage_copy_per_byte * size);
+  const bool zc = nqe.Op() == NqeOp::kSendZc;
+  Cycles copy = zc ? 0 : static_cast<Cycles>(config_.costs.hugepage_copy_per_byte * size);
   ++c.sends_in_flight;
-  stack_->ChargeOnSocketCore(sid, copy, [this, sid, ptr, size, pool] {
+  stack_->ChargeOnSocketCore(sid, copy, [this, sid, ptr, size, zc, pool] {
     Conn* c2 = FindBySid(sid);
     if (c2 == nullptr) {
+      // Conn gone (guest already closed): the chunk goes back to the pool.
       pool->Free(ptr);
       return;
     }
     --c2->sends_in_flight;
-    if (!stack_->Exists(sid)) {
-      pool->Free(ptr);
-      MaybeFinishClose(sid);
-      return;
-    }
-    c2->pending_tx.push_back(PendingTx{ptr, size, 0});
+    c2->pending_tx.push_back(PendingTx{ptr, size, 0, zc});
     DrainPendingTx(*c2);
   });
 }
@@ -412,35 +408,6 @@ void ServiceLib::FailZcTx(const Conn& c, uint64_t ptr, uint32_t size) {
                     static_cast<uint32_t>(tcp::kConnReset));
   nqe.reserved[0] = static_cast<uint8_t>(NqeOp::kSendZc);
   EnqueueToVm(c, nqe, false);
-}
-
-void ServiceLib::DoSendZc(const Nqe& nqe, Conn& c) {
-  // No hugepage->stack copy (the Table 6 overhead DoSend pays): only the
-  // zero-cycle trip through the socket's core, which preserves FIFO ordering
-  // with any legacy kSend copies still in flight on that core.
-  auto vit = vms_.find(c.vm_id);
-  if (vit == vms_.end()) return;
-  shm::HugepagePool* pool = vit->second.pool;
-  tcp::SocketId sid = c.sid;
-  uint64_t ptr = nqe.data_ptr;
-  uint32_t size = nqe.size;
-  ++c.sends_in_flight;
-  stack_->ChargeOnSocketCore(sid, 0, [this, sid, ptr, size, pool] {
-    Conn* c2 = FindBySid(sid);
-    if (c2 == nullptr) {
-      // Conn gone (guest already closed): the chunk goes back to the pool.
-      pool->Free(ptr);
-      return;
-    }
-    --c2->sends_in_flight;
-    if (!stack_->Exists(sid)) {
-      FailZcTx(*c2, ptr, size);
-      MaybeFinishClose(sid);
-      return;
-    }
-    c2->pending_tx.push_back(PendingTx{ptr, size, 0, true});
-    DrainPendingTx(*c2);
-  });
 }
 
 void ServiceLib::DrainPendingTx(Conn& c) {

@@ -117,8 +117,7 @@ class ServiceLib : public NsmService {
   void DoListen(const shm::Nqe& nqe, Conn& c);
   void DoConnect(const shm::Nqe& nqe, Conn& c);
   void DoAcceptLink(const shm::Nqe& nqe);
-  void DoSend(const shm::Nqe& nqe, Conn& c);
-  void DoSendZc(const shm::Nqe& nqe, Conn& c);
+  void DoSend(const shm::Nqe& nqe, Conn& c);  // kSend and kSendZc
   void DoClose(Conn& c);
   void MaybeFinishClose(tcp::SocketId sid);
   void DrainPendingTx(Conn& c);

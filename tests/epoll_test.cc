@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -215,6 +216,37 @@ TEST_F(EpollTest, EpollCloseWakesBlockedWaiterWithEmptyResult) {
   Run();
   EXPECT_TRUE(closed_ok);
   EXPECT_TRUE(woke_empty);
+}
+
+TEST_F(EpollTest, RefusedSocketsPollAsClosed) {
+  // A socket call the NSM side refuses hands the app no fd, so nothing of it
+  // may stay behind: polling the fd number it used reads ERR|HUP, the same as
+  // any closed fd, for stream and datagram sockets alike.
+  Nsm* nsm = HostA().CreateNsm("nsm", 1, NsmKind::kKernel);
+  Vm* nk = HostA().CreateNetkernelVm("nk", 1, nsm);
+  HostA().ce().DeregisterNsmDevice(nsm->id());
+  int stream_r = 0, dgram_r = 0;
+  std::vector<core::EpollEvent> evs;
+  auto body = [&]() -> sim::Task<void> {
+    SocketApi& api = nk->api();
+    sim::CpuCore* cpu = nk->vcpu(0);
+    stream_r = co_await api.Socket(cpu);     // would have been fd 3
+    dgram_r = co_await api.SocketDgram(cpu);  // would have been fd 4
+    int ep = api.EpollCreate();
+    api.EpollCtl(ep, 3, core::kEpollIn);
+    api.EpollCtl(ep, 4, core::kEpollIn);
+    evs = co_await api.EpollWait(cpu, ep, 8, 0);
+    api.EpollClose(ep);
+  };
+  sim::Spawn(body());
+  Run();
+
+  EXPECT_LT(stream_r, 0);
+  EXPECT_LT(dgram_r, 0);
+  std::map<int, uint32_t> ready;
+  for (const core::EpollEvent& e : evs) ready[e.fd] = e.events;
+  EXPECT_EQ(ready[3], core::kEpollErr | core::kEpollHup);
+  EXPECT_EQ(ready[4], core::kEpollErr | core::kEpollHup);
 }
 
 TEST_F(EpollTest, BaselineEpollCloseWorksToo) {

@@ -732,5 +732,72 @@ TEST_F(ZcTest, ListenerCloseClosesPendingAcceptedConnections) {
   EXPECT_EQ(HostA().ce().SocketTableSize(), 0u);
 }
 
+// A peer that never reads and then resets its end: the NetKernel sender's NSM
+// still holds queued sends when the RST arrives. Copy sends wait in the NSM's
+// pending-transmit queue (their credit came back when the stack took earlier
+// bytes); zc sends sit in the stack's send buffer. Either way, once the guest
+// closes, every chunk must be back in the VM's pool.
+void RunSendIntoResetPeer(bool zc) {
+  Host::ResetIpAllocator();
+  sim::EventLoop loop;
+  netsim::Fabric fabric(&loop);
+  Host host_a(&loop, &fabric, "hostA");
+  Host host_b(&loop, &fabric, "hostB");
+  Nsm* nsm = host_a.CreateNsm("nsm", 1, NsmKind::kKernel);
+  Vm* nk = host_a.CreateNetkernelVm("nk", 1, nsm);
+  Vm* peer = host_b.CreateBaselineVm("peer", 1);
+
+  auto server = [&]() -> sim::Task<void> {
+    SocketApi& api = peer->api();
+    sim::CpuCore* cpu = peer->vcpu(0);
+    int lfd = co_await api.Socket(cpu);
+    co_await api.Bind(cpu, lfd, 0, 9000);
+    co_await api.Listen(cpu, lfd, 16, false);
+    co_await api.Accept(cpu, lfd);  // accepted, never read
+  };
+  bool sender_closed = false;
+  auto client = [&]() -> sim::Task<void> {
+    SocketApi& api = nk->api();
+    sim::CpuCore* cpu = nk->vcpu(0);
+    int fd = co_await api.Socket(cpu);
+    if (0 != co_await api.Connect(cpu, fd, peer->ip(), 9000)) co_return;
+    std::vector<uint8_t> msg(64 * 1024, 0x5a);
+    for (int i = 0; i < 1024; ++i) {
+      int64_t n;
+      if (zc) {
+        NkBuf loan;
+        if (0 != co_await api.AcquireTxBuf(cpu, fd, 64 * 1024, &loan)) break;
+        loan.size = loan.capacity;
+        n = co_await api.SendBuf(cpu, fd, loan);
+      } else {
+        n = co_await api.Send(cpu, fd, msg.data(), msg.size());
+      }
+      if (n <= 0) break;
+    }
+    co_await api.Close(cpu, fd);
+    sender_closed = true;
+  };
+  sim::Spawn(server());
+  sim::Spawn(client());
+  // Once the peer's window is shut and the sender is stalled, RST the peer's
+  // established connection.
+  loop.Schedule(200 * kMillisecond, [&] {
+    tcp::TcpStack* stack = peer->guest_stack();
+    for (tcp::SocketId sid = 1; sid <= 8; ++sid) {
+      if (stack->Exists(sid) && stack->State(sid) == tcp::TcpState::kEstablished) {
+        stack->Abort(sid);
+      }
+    }
+  });
+  loop.Run(loop.Now() + 2 * kSecond);
+
+  const char* kind = zc ? "SendBuf" : "Send";
+  EXPECT_TRUE(sender_closed) << kind;
+  EXPECT_EQ(nk->pool()->chunks_in_use(), 0u) << kind << " leaked chunks";
+}
+
+TEST(PeerResetTest, QueuedCopySendsFreeAfterPeerReset) { RunSendIntoResetPeer(false); }
+TEST(PeerResetTest, QueuedZcSendsFreeAfterPeerReset) { RunSendIntoResetPeer(true); }
+
 }  // namespace
 }  // namespace netkernel
