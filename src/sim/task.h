@@ -219,12 +219,12 @@ class SimEvent {
   Waiter Wait() { return Waiter{this}; }
 
   void NotifyAll() {
-    if (waiters_.empty()) return;
-    std::vector<std::coroutine_handle<>> ws;
-    ws.swap(waiters_);
-    for (auto h : ws) {
+    // Resumes are scheduled, not run inline, so no waiter can touch waiters_
+    // during the loop; clear() keeps the buffer for the next Wait().
+    for (auto h : waiters_) {
       loop_->ScheduleAfter(0, [h] { h.resume(); });
     }
+    waiters_.clear();
   }
 
   void NotifyOne() {

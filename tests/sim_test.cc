@@ -3,8 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/sim/cpu.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/task.h"
@@ -80,6 +87,269 @@ TEST(EventLoop, StopHaltsProcessing) {
   loop.Schedule(2, [&] { ++count; });
   loop.Run();
   EXPECT_EQ(count, 1);
+}
+
+TEST(EventLoop, ClockNeverRunsBackwards) {
+  EventLoop loop;
+  int fired = 0;
+  loop.Schedule(100, [&] { ++fired; });
+  loop.Run(50);
+  EXPECT_EQ(loop.Now(), 50);
+  loop.Run(20);
+  EXPECT_EQ(loop.Now(), 50);
+  // An event due now is still past a horizon behind the clock.
+  loop.Schedule(50, [&] { ++fired; });
+  EXPECT_EQ(loop.Run(20), 0u);
+  EXPECT_EQ(loop.Now(), 50);
+  EXPECT_EQ(fired, 0);
+  loop.Run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(loop.Now(), 100);
+}
+
+TEST(EventLoop, StaleHandleIgnoresReusedSlot) {
+  EventLoop loop;
+  int a = 0, b = 0, c = 0;
+  EventHandle cancelled = loop.Schedule(10, [&] { ++a; });
+  cancelled.Cancel();
+  EventHandle live = loop.Schedule(20, [&] { ++b; });  // takes the freed slot
+  EXPECT_FALSE(cancelled.Pending());
+  EXPECT_TRUE(live.Pending());
+  cancelled.Cancel();
+  EXPECT_TRUE(live.Pending());
+  loop.Run();
+  EXPECT_EQ(a, 0);
+  EXPECT_EQ(b, 1);
+
+  EventHandle next = loop.Schedule(30, [&] { ++c; });  // reuses the fired slot
+  EXPECT_FALSE(live.Pending());
+  live.Cancel();
+  EXPECT_TRUE(next.Pending());
+  loop.Run();
+  EXPECT_EQ(c, 1);
+  EXPECT_FALSE(next.Pending());
+}
+
+TEST(EventLoop, EarlierScheduledRunsBeforeSameInstantReschedule) {
+  EventLoop loop;
+  std::vector<char> order;
+  loop.Schedule(10, [&] {
+    order.push_back('a');
+    loop.Schedule(loop.Now(), [&] { order.push_back('c'); });
+  });
+  // Scheduled at t=5 for t=10, before the clock reached 10 but after 'a'.
+  loop.Schedule(5, [&] { loop.Schedule(10, [&] { order.push_back('b'); }); });
+  loop.Run();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'c'}));
+}
+
+TEST(EventLoop, CancelSameInstantEventFromAnotherCallback) {
+  EventLoop loop;
+  std::vector<char> order;
+  EventHandle victim;
+  loop.Schedule(5, [&] {
+    order.push_back('a');
+    loop.ScheduleAfter(0, [&] {
+      order.push_back('b');
+      EXPECT_TRUE(victim.Pending());
+      victim.Cancel();
+      EXPECT_FALSE(victim.Pending());
+    });
+    victim = loop.ScheduleAfter(0, [&] { order.push_back('c'); });
+    loop.ScheduleAfter(0, [&] { order.push_back('d'); });
+  });
+  loop.Run();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'd'}));
+  EXPECT_EQ(loop.events_executed(), 3u);
+  EXPECT_TRUE(loop.Empty());
+}
+
+TEST(EventLoop, OnlyCancelledEventsPendingActsAsEmpty) {
+  EventLoop loop;
+  loop.Schedule(10, [] {});
+  EventHandle h = loop.Schedule(1000, [] {});
+  h.Cancel();
+  EXPECT_FALSE(loop.Empty());
+  EXPECT_EQ(loop.Run(500), 1u);
+  EXPECT_TRUE(loop.Empty());
+  EXPECT_EQ(loop.Now(), 10);  // as if the queue had emptied: no park at 500
+
+  loop.Schedule(1000, [] {});  // a live event past the horizon does park it
+  loop.Run(500);
+  EXPECT_EQ(loop.Now(), 500);
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: EventLoop against a reference model of its contract.
+// ---------------------------------------------------------------------------
+
+// The ordering contract written down directly: pending events in a std::set
+// ordered by (at, seq), no heap.
+class RefLoop {
+ public:
+  class Handle {
+   public:
+    Handle() = default;
+    void Cancel() {
+      if (loop_ != nullptr && loop_->pending_.erase(seq_) != 0) loop_->queue_.erase({at_, seq_});
+    }
+    bool Pending() const { return loop_ != nullptr && loop_->pending_.count(seq_) != 0; }
+
+   private:
+    friend class RefLoop;
+    Handle(RefLoop* loop, SimTime at, uint64_t seq) : loop_(loop), at_(at), seq_(seq) {}
+    RefLoop* loop_ = nullptr;
+    SimTime at_ = 0;
+    uint64_t seq_ = 0;
+  };
+
+  SimTime Now() const { return now_; }
+  Handle Schedule(SimTime at, std::function<void()> fn) {
+    const uint64_t seq = next_seq_++;
+    queue_.insert({at, seq});
+    pending_[seq] = std::move(fn);
+    return Handle{this, at, seq};
+  }
+  uint64_t Run(SimTime until = kSimTimeNever) {
+    stopped_ = false;
+    uint64_t executed = 0;
+    while (!stopped_ && !queue_.empty() && queue_.begin()->first <= until) {
+      FireFirst();
+      ++executed;
+    }
+    if (!queue_.empty() && !stopped_ && until != kSimTimeNever) now_ = std::max(now_, until);
+    return executed;
+  }
+  void RunUntilIdleAtNow() {
+    while (!queue_.empty() && queue_.begin()->first <= now_) FireFirst();
+  }
+  void Stop() { stopped_ = true; }
+  bool Empty() const { return queue_.empty(); }
+  uint64_t events_executed() const { return events_executed_; }
+
+ private:
+  void FireFirst() {
+    const auto [at, seq] = *queue_.begin();
+    queue_.erase(queue_.begin());
+    auto node = pending_.extract(seq);
+    now_ = at;
+    ++events_executed_;
+    node.mapped()();
+  }
+
+  SimTime now_ = 0;
+  uint64_t next_seq_ = 0;
+  uint64_t events_executed_ = 0;
+  bool stopped_ = false;
+  std::set<std::pair<SimTime, uint64_t>> queue_;
+  std::map<uint64_t, std::function<void()>> pending_;
+};
+
+// A seeded random workload over one loop. Two scripts with the same seed make
+// the same calls as long as their loops fire events in the same order: each
+// callback draws its actions from an Rng keyed by (seed, event id).
+template <typename Loop>
+class LoopScript {
+ public:
+  using Handle = decltype(std::declval<Loop&>().Schedule(0, {}));
+  static constexpr size_t kMaxEvents = 400;
+
+  explicit LoopScript(uint64_t seed) : seed_(seed), rng_(seed) {}
+
+  void Step() {
+    switch (rng_.NextBounded(9)) {
+      case 0:
+      case 1:
+        Add(loop.Now());
+        break;
+      case 2:
+      case 3:
+        Add(loop.Now() + rng_.NextInRange(1, 100));
+        break;
+      case 4:
+        CancelOne(rng_);
+        break;
+      case 5:
+      case 6:
+        // The horizon may lie behind the clock.
+        last_run = loop.Run(loop.Now() + rng_.NextInRange(-20, 120));
+        break;
+      case 7:
+        loop.RunUntilIdleAtNow();
+        break;
+      default:
+        loop.Stop();  // outside Run(): the next Run() must ignore it
+        last_run = loop.Run();
+        break;
+    }
+  }
+
+  Loop loop;
+  std::vector<size_t> fired;     // event ids in firing order
+  std::vector<Handle> handles;   // indexed by event id
+  uint64_t last_run = 0;
+
+ private:
+  void Add(SimTime at) {
+    const size_t id = handles.size();
+    handles.push_back(loop.Schedule(at, [this, id] { OnFire(id); }));
+  }
+  void CancelOne(Rng& rng) {
+    if (!handles.empty()) handles[rng.NextBounded(handles.size())].Cancel();
+  }
+  void OnFire(size_t id) {
+    fired.push_back(id);
+    Rng rng(seed_ * 1000003 + id);
+    const int children = handles.size() < kMaxEvents ? static_cast<int>(rng.NextBounded(3)) : 0;
+    for (int i = 0; i < children; ++i) {
+      Add(rng.NextBool(0.5) ? loop.Now() : loop.Now() + rng.NextInRange(1, 50));
+    }
+    if (rng.NextBool(0.3)) CancelOne(rng);
+    if (rng.NextBool(0.05)) loop.Stop();
+  }
+
+  uint64_t seed_;
+  Rng rng_;
+};
+
+// Compares the two scripts after a step; returns a description of the first
+// mismatch, or an empty string.
+std::string Mismatch(const LoopScript<EventLoop>& real, const LoopScript<RefLoop>& ref) {
+  if (real.fired != ref.fired) return "firing order";
+  if (real.loop.Now() != ref.loop.Now()) return "Now()";
+  if (real.loop.events_executed() != ref.loop.events_executed()) return "events_executed()";
+  if (real.last_run != ref.last_run) return "Run() result";
+  if (real.loop.Empty() != ref.loop.Empty()) return "Empty()";
+  for (size_t id = 0; id < real.handles.size(); ++id) {
+    if (real.handles[id].Pending() != ref.handles[id].Pending()) {
+      return "Pending() of event " + std::to_string(id);
+    }
+  }
+  return "";
+}
+
+TEST(EventLoop, MatchesReferenceModelOnRandomSequences) {
+  constexpr uint64_t kFirstSeed = 1;
+  constexpr uint64_t kSeeds = 200;
+  constexpr int kSteps = 300;
+  for (uint64_t seed = kFirstSeed; seed < kFirstSeed + kSeeds; ++seed) {
+    LoopScript<EventLoop> real(seed);
+    LoopScript<RefLoop> ref(seed);
+    for (int step = 0; step < kSteps; ++step) {
+      real.Step();
+      ref.Step();
+      const std::string what = Mismatch(real, ref);
+      if (!what.empty()) {
+        ADD_FAILURE() << "seed " << seed << ", step " << step << ": " << what
+                      << " differs from the reference model";
+        break;
+      }
+    }
+    // Drain both; the tail must match too.
+    real.loop.Run();
+    ref.loop.Run();
+    EXPECT_EQ(Mismatch(real, ref), "") << "seed " << seed << " after the final Run()";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,15 @@ Usage:
                         [--threshold 0.10]
     tools/bench_diff.py --list-gates [--threshold 0.10]
 
-Missing previous data (first run, new metric) is reported but never fails.
+When --prev holds no rows (a fresh clone, or CI's first run), the diff runs
+against the blessed snapshot in bench/baseline/ instead: the BENCH_*.json rows
+of the four CI `--smoke` runs (bench_fig11_nqe_switch, bench_table6_cpu_throughput,
+bench_obs_overhead, bench_nsm_failover), which are deterministic DES output.
+A change that moves a smoke figure on purpose refreshes the snapshot in the same
+change (see REFRESH_HINT); when --prev does hold rows, the script still reports
+how many of the current rows the snapshot disagrees with, so a stale snapshot
+shows up in every run's log. A new metric absent from the previous rows is
+reported but never fails.
 
 --list-gates prints the gated-metric set, one `bench metric direction
 threshold` row per gate, so the set is itself lintable: diff it against the
@@ -27,6 +35,15 @@ import glob
 import json
 import os
 import sys
+
+BASELINE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "bench", "baseline")
+REFRESH_HINT = """\
+refresh bench/baseline/ from a Release build (cmake -B build-rel -DCMAKE_BUILD_TYPE=Release):
+  ./build-rel/bench_fig11_nqe_switch --smoke --json bench/baseline/BENCH_fig11.json
+  ./build-rel/bench_table6_cpu_throughput --smoke --json bench/baseline/BENCH_table6.json
+  ./build-rel/bench_obs_overhead --smoke --json bench/baseline/BENCH_obs.json
+  ./build-rel/bench_nsm_failover --smoke --json bench/baseline/BENCH_failover.json"""
 
 # Metrics where a LOWER value is better; everything else is higher-is-better.
 LOWER_IS_BETTER = {
@@ -128,9 +145,20 @@ def main():
     if not curr:
         print("no current BENCH_*.json rows found — nothing to diff")
         return 1
+    baseline = load_rows(BASELINE_DIR)
     if not prev:
-        print("no previous BENCH_*.json artifact — first run, recording baseline only")
-        return 0
+        if not baseline:
+            print("no previous BENCH_*.json rows and no blessed baseline — recording only")
+            return 0
+        print(f"no previous BENCH_*.json rows — comparing against the checked-in snapshot "
+              f"in {BASELINE_DIR}")
+        print("if this change moves a smoke figure on purpose, " + REFRESH_HINT + "\n")
+        prev = baseline
+    else:
+        stale = [k for k in curr if k in baseline and baseline[k] != curr[k]]
+        if stale:
+            print(f"note: the checked-in snapshot in {BASELINE_DIR} differs from this run "
+                  f"on {len(stale)} row(s); if the change is intended, " + REFRESH_HINT + "\n")
 
     regressions = []
     header = f"{'bench':<22} {'config':<30} {'metric':<18} {'prev':>12} {'curr':>12} {'delta':>8}"
