@@ -22,6 +22,18 @@ std::vector<sim::CpuCore*> StackCores(tcp::TcpStack* stack) {
   return cores;
 }
 
+// Per-socket ops that name one stack. A stream op on a datagram socket (or
+// the reverse) would address whatever socket of the other stack happens to
+// carry the same id, so Dispatch refuses it.
+bool StreamOnlyOp(NqeOp op) {
+  return op == NqeOp::kBind || op == NqeOp::kListen || op == NqeOp::kConnect ||
+         op == NqeOp::kSend || op == NqeOp::kSendZc;
+}
+bool DgramOnlyOp(NqeOp op) {
+  return op == NqeOp::kBindUdp || op == NqeOp::kSendTo || op == NqeOp::kSendToZc ||
+         op == NqeOp::kRecvFrom;
+}
+
 }  // namespace
 
 ServiceLib::ServiceLib(sim::EventLoop* loop, uint8_t nsm_id, CoreEngine* ce, shm::NkDevice* dev,
@@ -30,10 +42,6 @@ ServiceLib::ServiceLib(sim::EventLoop* loop, uint8_t nsm_id, CoreEngine* ce, shm
       stack_(stack),
       udp_stack_(udp_stack),
       config_(config) {}
-
-ServiceLib::ServiceLib(sim::EventLoop* loop, uint8_t nsm_id, CoreEngine* ce, shm::NkDevice* dev,
-                       tcp::TcpStack* stack, udp::UdpStack* udp_stack)
-    : ServiceLib(loop, nsm_id, ce, dev, stack, udp_stack, Config()) {}
 
 ServiceLib::~ServiceLib() { *alive_ = false; }
 
@@ -77,24 +85,21 @@ void ServiceLib::SetVmCcFactory(uint8_t vm_id, tcp::CcFactory factory) {
   it->second.cc_factory = std::move(factory);
 }
 
-ServiceLib::Conn* ServiceLib::FindBySid(tcp::SocketId sid) {
-  auto it = by_sid_.find(sid);
-  return it == by_sid_.end() ? nullptr : it->second.get();
+ServiceLib::Conn* ServiceLib::Find(Kind kind, uint32_t sid) {
+  auto it = conns_.find(Key(kind, sid));
+  return it == conns_.end() ? nullptr : it->second.get();
 }
 
-ServiceLib::Conn* ServiceLib::FindByUsid(udp::SocketId usid) {
-  auto it = by_usid_.find(usid);
-  return it == by_usid_.end() ? nullptr : it->second.get();
-}
-
-ServiceLib::Conn& ServiceLib::NewConn(uint8_t vm_id, uint8_t vm_qset, uint32_t vm_sock) {
+ServiceLib::Conn& ServiceLib::NewConn(Kind kind, uint32_t sid, uint8_t vm_id, uint8_t vm_qset,
+                                      uint32_t vm_sock) {
   auto c = std::make_unique<Conn>();
+  c->kind = kind;
+  c->sid = sid;
   c->vm_id = vm_id;
   c->vm_qset = vm_qset;
   c->vm_sock = vm_sock;
   Conn& ref = *c;
-  // Ownership keyed by stack socket id; caller fills sid before indexing.
-  pending_owner_ = std::move(c);
+  conns_[Key(kind, sid)] = std::move(c);
   return ref;
 }
 
@@ -105,10 +110,8 @@ ServiceLib::Conn& ServiceLib::NewConn(uint8_t vm_id, uint8_t vm_qset, uint32_t v
 void ServiceLib::Dispatch(const Nqe& nqe) {
   switch (nqe.Op()) {
     case NqeOp::kSocket:
-      DoSocket(nqe);
-      return;
     case NqeOp::kSocketUdp:
-      DoSocketUdp(nqe);
+      DoSocket(nqe);
       return;
     case NqeOp::kAccept:
       DoAcceptLink(nqe);
@@ -150,12 +153,15 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
     OnUnknownSocket(nqe);
     return;
   }
+  if (c->kind == Kind::kDgram ? StreamOnlyOp(nqe.Op()) : DgramOnlyOp(nqe.Op())) {
+    FreeNqeChunk(nqe);
+    Respond(*c, NqeOp::kOpResult, nqe.Op(), udp::kBadSocket);
+    return;
+  }
   switch (nqe.Op()) {
     case NqeOp::kBind:
-      DoBind(nqe, *c);
-      break;
     case NqeOp::kBindUdp:
-      DoBindUdp(nqe, *c);
+      DoBind(nqe, *c);
       break;
     case NqeOp::kListen:
       DoListen(nqe, *c);
@@ -168,22 +174,16 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
       DoSend(nqe, *c);
       break;
     case NqeOp::kSendTo:
-      DoSendTo(nqe, *c);
-      break;
     case NqeOp::kSendToZc:
-      DoSendToZc(nqe, *c);
+      DoSendTo(nqe, *c);
       break;
     case NqeOp::kRecvFrom:
       // Datagram receive credit: the guest consumed op_data bytes.
       c->rx_outstanding = c->rx_outstanding > nqe.op_data ? c->rx_outstanding - nqe.op_data : 0;
-      if (c->dgram) ShipDgrams(c->usid);
+      ShipDgrams(c->sid);
       break;
     case NqeOp::kClose:
-      if (c->dgram) {
-        DoCloseDgram(*c);
-      } else {
-        DoClose(*c);
-      }
+      DoClose(*c);
       break;
     case NqeOp::kSetsockopt:
     case NqeOp::kGetsockopt:
@@ -217,29 +217,45 @@ void ServiceLib::DoSocket(const Nqe& nqe) {
   auto vit = vms_.find(nqe.vm_id);
   if (vit == vms_.end()) return;
   const VmStack& vs = vm_stacks_[nqe.vm_id];
-  tcp::SocketId sid = stack_->CreateSocket();
-  if (vs.cc_factory) stack_->SetCongestionControl(sid, vs.cc_factory());
-  // RX zero-copy: inbound payload lands in the VM's pool; listeners pass the
-  // allocator on to accepted children inside the stack.
-  if (config_.rx_zerocopy) stack_->SetRxChunkAllocator(sid, vs.rx_allocator);
-  // Connections of this VM use the VM's address (the NSM's vNIC answers for
-  // every address of the VMs it serves).
-  stack_->Bind(sid, vit->second.ip, 0);
-
-  Conn& c = NewConn(nqe.vm_id, nqe.queue_set, nqe.vm_sock);
-  c.sid = sid;
+  // Sockets of this VM use the VM's address (the NSM's vNIC answers for
+  // every address of the VMs it serves), and with RX zero-copy their inbound
+  // payload lands in the VM's pool.
+  const Kind kind = nqe.Op() == NqeOp::kSocketUdp ? Kind::kDgram : Kind::kStream;
+  uint32_t sid = 0;
+  if (kind == Kind::kStream) {
+    sid = stack_->CreateSocket();
+    if (vs.cc_factory) stack_->SetCongestionControl(sid, vs.cc_factory());
+    // Listeners pass the allocator on to accepted children inside the stack.
+    if (config_.rx_zerocopy) stack_->SetRxChunkAllocator(sid, vs.rx_allocator);
+    stack_->Bind(sid, vit->second.ip, 0);
+  } else {
+    if (udp_stack_ == nullptr) {
+      Respond(ReplyTo(nqe), NqeOp::kOpResult, NqeOp::kSocketUdp, udp::kBadSocket);
+      return;
+    }
+    sid = udp_stack_->CreateSocket();
+    // The ephemeral port bound now gives an unbound sendto a routable source.
+    udp_stack_->Bind(sid, vit->second.ip, 0);
+    if (config_.rx_zerocopy) udp_stack_->SetRxChunkAllocator(sid, vs.rx_allocator);
+    udp::UdpSocketCallbacks cbs;
+    cbs.on_readable = [this, sid] { ShipDgrams(sid); };
+    udp_stack_->SetCallbacks(sid, std::move(cbs));
+  }
+  Conn& c = NewConn(kind, sid, nqe.vm_id, nqe.queue_set, nqe.vm_sock);
   c.linked = true;
   c.nsm_qset = nqe.reserved[2];
-  by_sid_[sid] = std::move(pending_owner_);
   IndexSocket(&c);
-  Respond(c, NqeOp::kOpResult, NqeOp::kSocket, 0, sid);
+  Respond(c, NqeOp::kOpResult, nqe.Op(), 0, sid);
 }
 
 void ServiceLib::DoBind(const Nqe& nqe, Conn& c) {
   auto vit = vms_.find(c.vm_id);
   if (vit == vms_.end()) return;
-  int r = stack_->Bind(c.sid, vit->second.ip, shm::AddrPort(nqe.op_data));
-  Respond(c, NqeOp::kOpResult, NqeOp::kBind, r);
+  const netsim::IpAddr ip = vit->second.ip;
+  const uint16_t port = shm::AddrPort(nqe.op_data);
+  int r = c.kind == Kind::kStream ? stack_->Bind(c.sid, ip, port)
+                                   : udp_stack_->Bind(c.sid, ip, port);
+  Respond(c, NqeOp::kOpResult, nqe.Op(), r);
 }
 
 void ServiceLib::DoListen(const Nqe& nqe, Conn& c) {
@@ -260,13 +276,13 @@ void ServiceLib::DoConnect(const Nqe& nqe, Conn& c) {
   tcp::SocketId sid = c.sid;
   tcp::SocketCallbacks cbs;
   cbs.on_connect = [this, sid](int err) {
-    Conn* c2 = FindBySid(sid);
+    Conn* c2 = Find(Kind::kStream, sid);
     if (c2 == nullptr) return;
     Respond(*c2, NqeOp::kConnectResult, NqeOp::kConnect, err);
     if (err == 0) InstallDataCallbacks(*c2);
   };
   cbs.on_error = [this, sid](int err) {
-    Conn* c2 = FindBySid(sid);
+    Conn* c2 = Find(Kind::kStream, sid);
     if (c2 == nullptr || c2->fin_sent_to_vm) return;
     c2->fin_sent_to_vm = true;
     Nqe fin = MakeNqe(NqeOp::kFinReceived, 0, 0, 0, 0, 0, static_cast<uint32_t>(err));
@@ -277,15 +293,13 @@ void ServiceLib::DoConnect(const Nqe& nqe, Conn& c) {
 }
 
 void ServiceLib::AutoAccept(tcp::SocketId listener_sid) {
-  Conn* l = FindBySid(listener_sid);
+  Conn* l = Find(Kind::kStream, listener_sid);
   if (l == nullptr) return;
   for (;;) {
     tcp::SocketId cid = stack_->Accept(listener_sid);
     if (cid == tcp::kInvalidSocket) break;
-    Conn& c = NewConn(l->vm_id, l->vm_qset, 0);
-    c.sid = cid;
+    Conn& c = NewConn(Kind::kStream, cid, l->vm_id, l->vm_qset, 0);
     c.nsm_qset = l->nsm_qset;
-    by_sid_[cid] = std::move(pending_owner_);
     auto vit = vm_stacks_.find(l->vm_id);
     if (vit != vm_stacks_.end() && vit->second.cc_factory) {
       stack_->SetCongestionControl(cid, vit->second.cc_factory());
@@ -299,7 +313,7 @@ void ServiceLib::AutoAccept(tcp::SocketId listener_sid) {
 
 void ServiceLib::DoAcceptLink(const Nqe& nqe) {
   tcp::SocketId sid = static_cast<tcp::SocketId>(nqe.op_data);
-  Conn* c = FindBySid(sid);
+  Conn* c = Find(Kind::kStream, sid);
   if (c == nullptr || !stack_->Exists(sid)) {
     // Connection reset before the guest accepted it: signal EOF.
     Nqe fin = MakeNqe(NqeOp::kFinReceived, 0, 0, 0, 0, 0,
@@ -323,17 +337,17 @@ void ServiceLib::InstallDataCallbacks(Conn& c) {
   tcp::SocketCallbacks cbs;
   cbs.on_readable = [this, sid] { ShipRecv(sid); };
   cbs.on_writable = [this, sid] {
-    Conn* c2 = FindBySid(sid);
+    Conn* c2 = Find(Kind::kStream, sid);
     if (c2 != nullptr) DrainPendingTx(*c2);
   };
   cbs.on_error = [this, sid](int err) {
-    Conn* c2 = FindBySid(sid);
+    Conn* c2 = Find(Kind::kStream, sid);
     if (c2 == nullptr) return;
     // The stack socket is gone (peer RST, RTO give-up): unwind sends still
     // queued for it, or they leak and a later kClose waits on them forever.
     // Draining may finish a pending close and drop the Conn.
     DrainPendingTx(*c2);
-    c2 = FindBySid(sid);
+    c2 = Find(Kind::kStream, sid);
     if (c2 == nullptr || c2->fin_sent_to_vm) return;
     c2->fin_sent_to_vm = true;
     Nqe fin = MakeNqe(NqeOp::kFinReceived, 0, 0, 0, 0, 0, static_cast<uint32_t>(err));
@@ -362,7 +376,7 @@ void ServiceLib::DoSend(const Nqe& nqe, Conn& c) {
   Cycles copy = zc ? 0 : static_cast<Cycles>(config_.costs.hugepage_copy_per_byte * size);
   ++c.sends_in_flight;
   stack_->ChargeOnSocketCore(sid, copy, [this, sid, ptr, size, zc, pool] {
-    Conn* c2 = FindBySid(sid);
+    Conn* c2 = Find(Kind::kStream, sid);
     if (c2 == nullptr) {
       // Conn gone (guest already closed): the chunk goes back to the pool.
       pool->Free(ptr);
@@ -378,25 +392,26 @@ void ServiceLib::DoSend(const Nqe& nqe, Conn& c) {
 // Zero-copy send path: the stack transmits straight from the hugepage chunk
 // ---------------------------------------------------------------------------
 
-std::function<void()> ServiceLib::MakeZcFreeCallback(const Conn& c, uint64_t ptr,
-                                                     uint32_t size) {
-  // The callback lives inside the TcpStack send buffer and can fire on ACK,
-  // on connection teardown, or during stack destruction — potentially after
-  // this ServiceLib, the Conn, or the VM's pool are gone. It therefore
-  // carries the liveness token, a copy of the reply target, and re-resolves
-  // the pool through vms_.
-  return [this, alive = alive_, to = NsmSocket(c), ptr, size] {
+std::function<void()> ServiceLib::MakeZcFreeCallback(const Conn& c, NqeOp done, NqeOp orig,
+                                                     uint64_t ptr, uint32_t size) {
+  // The callback lives inside a stack's send buffer (TcpStack until ACK,
+  // UdpStack until the wire datagram is committed) and can also fire on
+  // socket teardown or during stack destruction — potentially after this
+  // ServiceLib, the Conn, or the VM's pool are gone. It therefore carries
+  // the liveness token, a copy of the reply target, and re-resolves the pool
+  // through vms_.
+  return [this, alive = alive_, to = NsmSocket(c), done, orig, ptr, size] {
     if (!*alive) return;
     auto vit = vms_.find(to.vm_id);
     if (vit == vms_.end()) return;  // VM detached; its pool may be gone too
     vit->second.pool->Free(ptr);
     recorder_.Record(obs::FlightEventType::kZcChunkFree, to.vm_id, to.vm_qset,
-                     static_cast<uint8_t>(NqeOp::kSendZc), to.vm_sock, size);
-    // Return the send credit. Status 0 covers both outcomes — on a teardown
-    // with unacked bytes the guest also receives the error FIN, which is
-    // what reports the broken stream.
-    Nqe nqe = MakeNqe(NqeOp::kSendZcComplete, to.vm_id, to.vm_qset, to.vm_sock, size);
-    nqe.reserved[0] = static_cast<uint8_t>(NqeOp::kSendZc);
+                     static_cast<uint8_t>(orig), to.vm_sock, size);
+    // Return the send credit. Status 0 covers both outcomes — on a stream
+    // teardown with unacked bytes the guest also receives the error FIN,
+    // which is what reports the broken stream.
+    Nqe nqe = MakeNqe(done, to.vm_id, to.vm_qset, to.vm_sock, size);
+    nqe.reserved[0] = static_cast<uint8_t>(orig);
     EnqueueToVm(to, nqe, false);
   };
 }
@@ -438,7 +453,8 @@ void ServiceLib::DrainPendingTx(Conn& c) {
       // (all-or-nothing). The chunk frees — and the guest's send credit
       // returns — only when the byte range is ACKed.
       if (!stack_->SendZc(c.sid, pool->Data(tx.ptr), tx.size,
-                          MakeZcFreeCallback(c, tx.ptr, tx.size))) {
+                          MakeZcFreeCallback(c, NqeOp::kSendZcComplete, NqeOp::kSendZc, tx.ptr,
+                                             tx.size))) {
         break;  // stack sndbuf full; resume on writable
       }
       c.pending_tx.pop_front();
@@ -453,7 +469,7 @@ void ServiceLib::DrainPendingTx(Conn& c) {
     Respond(c, NqeOp::kSendResult, NqeOp::kSend, 0, tx.size);
     c.pending_tx.pop_front();
   }
-  MaybeFinishClose(c.sid);
+  MaybeFinishClose(Kind::kStream, c.sid);
 }
 
 // ---------------------------------------------------------------------------
@@ -461,7 +477,7 @@ void ServiceLib::DrainPendingTx(Conn& c) {
 // ---------------------------------------------------------------------------
 
 void ServiceLib::ShipRecv(tcp::SocketId sid) {
-  Conn* c = FindBySid(sid);
+  Conn* c = Find(Kind::kStream, sid);
   if (c == nullptr || !c->linked || c->ship_pending) return;
   auto vit = vms_.find(c->vm_id);
   if (vit == vms_.end()) return;
@@ -477,7 +493,7 @@ void ServiceLib::ShipRecv(tcp::SocketId sid) {
     if (stack_->RxDetachable(sid)) {
       c->ship_pending = true;
       stack_->ChargeOnSocketCore(sid, 0, [this, sid, pool] {
-        Conn* c2 = FindBySid(sid);
+        Conn* c2 = Find(Kind::kStream, sid);
         if (c2 == nullptr) return;  // rcvbuf teardown frees its own chunks
         c2->ship_pending = false;
         tcp::DetachedChunk chunk;
@@ -514,7 +530,7 @@ void ServiceLib::ShipRecv(tcp::SocketId sid) {
     c->ship_pending = true;
     Cycles copy = static_cast<Cycles>(config_.costs.hugepage_copy_per_byte * chunk);
     stack_->ChargeOnSocketCore(sid, copy, [this, sid, off, chunk, pool] {
-      Conn* c2 = FindBySid(sid);
+      Conn* c2 = Find(Kind::kStream, sid);
       if (c2 == nullptr) {
         pool->Free(off);
         return;
@@ -558,7 +574,7 @@ void ServiceLib::ShipRecv(tcp::SocketId sid) {
 // Delivers the stream-broken error FIN for a connection whose kRecvData was
 // lost to a full ring, retrying until the ring drains enough to carry it.
 void ServiceLib::DeliverErrorFin(tcp::SocketId sid) {
-  Conn* c = FindBySid(sid);
+  Conn* c = Find(Kind::kStream, sid);
   if (c == nullptr) return;
   Nqe fin = MakeNqe(NqeOp::kFinReceived, 0, 0, 0, 0, 0,
                     static_cast<uint32_t>(tcp::kConnReset));
@@ -575,6 +591,55 @@ void ServiceLib::OnRecvCredit(uint8_t vm_id, uint32_t vm_sock, uint32_t bytes) {
 }
 
 // ---------------------------------------------------------------------------
+// Datagram send path: hugepages -> UDP stack
+// ---------------------------------------------------------------------------
+
+// kSendTo and kSendToZc. A copy send pays the hugepage->stack copy on the
+// socket's core (Table 6's overhead); a zero-copy send takes a zero-cycle
+// trip through that core, which keeps it in FIFO order with copy sends, and
+// the UDP stack builds the wire datagram straight from the chunk. UDP never
+// parks data: the credit returns as soon as the datagram is handed over, or
+// — zero-copy — once the stack committed it to the wire.
+void ServiceLib::DoSendTo(const Nqe& nqe, Conn& c) {
+  auto vit = vms_.find(c.vm_id);
+  if (vit == vms_.end()) return;
+  shm::HugepagePool* pool = vit->second.pool;
+  udp::SocketId sid = c.sid;
+  uint64_t ptr = nqe.data_ptr;
+  uint32_t size = nqe.size;
+  uint64_t dst = nqe.op_data;
+  const NqeOp op = nqe.Op();
+  Cycles copy =
+      op == NqeOp::kSendToZc ? 0 : static_cast<Cycles>(config_.costs.hugepage_copy_per_byte * size);
+  ++c.sends_in_flight;
+  udp_stack_->ChargeOnSocketCore(sid, copy, [this, sid, ptr, size, dst, pool, op] {
+    Conn* c2 = Find(Kind::kDgram, sid);
+    if (c2 == nullptr) {
+      pool->Free(ptr);
+      return;
+    }
+    --c2->sends_in_flight;
+    bool loaned = false;  // the stack holds the chunk until its free callback
+    if (udp_stack_->Exists(sid)) {
+      if (op == NqeOp::kSendToZc) {
+        loaned = udp_stack_->SendToZc(sid, shm::AddrIp(dst), shm::AddrPort(dst), pool->Data(ptr),
+                                      size, MakeZcFreeCallback(*c2, NqeOp::kSendToResult, op, ptr,
+                                                               size)) >= 0;
+      } else {
+        udp_stack_->SendTo(sid, shm::AddrIp(dst), shm::AddrPort(dst), pool->Data(ptr), size);
+      }
+    }
+    if (!loaned) {
+      // Copied out, or lost locally (socket closed / bad destination —
+      // ordinary UDP loss): the chunk and the send credit unwind now.
+      pool->Free(ptr);
+      Respond(*c2, NqeOp::kSendToResult, op, 0, size);
+    }
+    MaybeFinishClose(Kind::kDgram, sid);
+  });
+}
+
+// ---------------------------------------------------------------------------
 // Close
 // ---------------------------------------------------------------------------
 
@@ -583,174 +648,61 @@ void ServiceLib::OnRecvCredit(uint8_t vm_id, uint32_t vm_sock, uint32_t bytes) {
 // buffered writes.
 void ServiceLib::DoClose(Conn& c) {
   c.close_pending = true;
-  MaybeFinishClose(c.sid);
+  MaybeFinishClose(c.kind, c.sid);
 }
 
-void ServiceLib::MaybeFinishClose(tcp::SocketId sid) {
-  Conn* c = FindBySid(sid);
+void ServiceLib::MaybeFinishClose(Kind kind, uint32_t sid) {
+  Conn* c = Find(kind, sid);
   if (c == nullptr || !c->close_pending) return;
   if (c->sends_in_flight > 0 || !c->pending_tx.empty()) return;
+  // A stream ship still charged to the core finds the Conn gone and unwinds
+  // on its own, so only a datagram close waits for one.
+  if (kind == Kind::kDgram && c->ship_pending) return;
   UnindexSocket(*c);
-  stack_->SetCallbacks(sid, {});
-  stack_->Close(sid);
-  by_sid_.erase(sid);
+  if (kind == Kind::kStream) {
+    stack_->SetCallbacks(sid, {});
+    stack_->Close(sid);
+  } else {
+    udp_stack_->Close(sid);
+  }
+  conns_.erase(Key(kind, sid));
 }
 
 // ---------------------------------------------------------------------------
-// Datagram (SOCK_DGRAM) path
+// Datagram receive path: UDP stack -> hugepages -> kDgramRecv
 // ---------------------------------------------------------------------------
 
-void ServiceLib::DoSocketUdp(const Nqe& nqe) {
-  auto vit = vms_.find(nqe.vm_id);
-  if (vit == vms_.end()) return;
-  if (udp_stack_ == nullptr) {
-    Respond(ReplyTo(nqe), NqeOp::kOpResult, NqeOp::kSocketUdp, udp::kBadSocket);
-    return;
-  }
-  udp::SocketId usid = udp_stack_->CreateSocket();
-  // Datagrams of this VM use the VM's address; bind an ephemeral port now so
-  // an unbound sendto already carries a routable source.
-  udp_stack_->Bind(usid, vit->second.ip, 0);
-
-  Conn& c = NewConn(nqe.vm_id, nqe.queue_set, nqe.vm_sock);
-  c.dgram = true;
-  c.usid = usid;
-  c.linked = true;
-  c.nsm_qset = nqe.reserved[2];
-  by_usid_[usid] = std::move(pending_owner_);
-  IndexSocket(&c);
-  udp::UdpSocketCallbacks cbs;
-  cbs.on_readable = [this, usid] { ShipDgrams(usid); };
-  udp_stack_->SetCallbacks(usid, std::move(cbs));
-  // RX zero-copy: inbound datagrams land directly in the VM's pool.
-  if (config_.rx_zerocopy) {
-    udp_stack_->SetRxChunkAllocator(usid, vm_stacks_[nqe.vm_id].rx_allocator);
-  }
-  Respond(c, NqeOp::kOpResult, NqeOp::kSocketUdp, 0, usid);
-}
-
-void ServiceLib::DoBindUdp(const Nqe& nqe, Conn& c) {
-  auto vit = vms_.find(c.vm_id);
-  if (vit == vms_.end() || udp_stack_ == nullptr) return;
-  int r = udp_stack_->Bind(c.usid, vit->second.ip, shm::AddrPort(nqe.op_data));
-  Respond(c, NqeOp::kOpResult, NqeOp::kBindUdp, r);
-}
-
-void ServiceLib::DoSendTo(const Nqe& nqe, Conn& c) {
-  auto vit = vms_.find(c.vm_id);
-  if (vit == vms_.end() || udp_stack_ == nullptr) return;
-  shm::HugepagePool* pool = vit->second.pool;
-  udp::SocketId usid = c.usid;
-  uint64_t ptr = nqe.data_ptr;
-  uint32_t size = nqe.size;
-  uint64_t dst = nqe.op_data;
-
-  // Copy from hugepages into the stack on the socket's core (Table 6's
-  // overhead), then transmit. UDP never parks data: the credit returns as
-  // soon as the datagram is handed to the stack.
-  Cycles copy = static_cast<Cycles>(config_.costs.hugepage_copy_per_byte * size);
-  ++c.sends_in_flight;
-  udp_stack_->ChargeOnSocketCore(usid, copy, [this, usid, ptr, size, dst, pool] {
-    Conn* c2 = FindByUsid(usid);
-    if (c2 == nullptr) {
-      pool->Free(ptr);
-      return;
-    }
-    --c2->sends_in_flight;
-    if (udp_stack_->Exists(usid)) {
-      udp_stack_->SendTo(usid, shm::AddrIp(dst), shm::AddrPort(dst), pool->Data(ptr), size);
-    }
-    pool->Free(ptr);
-    Respond(*c2, NqeOp::kSendToResult, NqeOp::kSendTo, 0, size);
-    MaybeFinishCloseDgram(usid);
-  });
-}
-
-std::function<void()> ServiceLib::MakeDgramZcFreeCallback(const Conn& c, uint64_t ptr,
-                                                          uint32_t size) {
-  // Fires when the UDP stack commits the wire datagram (skb owns the bytes).
-  // Same teardown hazards as the stream variant: liveness token + pool
-  // re-resolution through vms_.
-  return [this, alive = alive_, to = NsmSocket(c), ptr, size] {
-    if (!*alive) return;
-    auto vit = vms_.find(to.vm_id);
-    if (vit == vms_.end()) return;
-    vit->second.pool->Free(ptr);
-    recorder_.Record(obs::FlightEventType::kZcChunkFree, to.vm_id, to.vm_qset,
-                     static_cast<uint8_t>(NqeOp::kSendToZc), to.vm_sock, size);
-    Nqe nqe = MakeNqe(NqeOp::kSendToResult, to.vm_id, to.vm_qset, to.vm_sock, size);
-    nqe.reserved[0] = static_cast<uint8_t>(NqeOp::kSendToZc);
-    EnqueueToVm(to, nqe, false);
-  };
-}
-
-void ServiceLib::DoSendToZc(const Nqe& nqe, Conn& c) {
-  auto vit = vms_.find(c.vm_id);
-  if (vit == vms_.end() || udp_stack_ == nullptr) return;
-  shm::HugepagePool* pool = vit->second.pool;
-  udp::SocketId usid = c.usid;
-  uint64_t ptr = nqe.data_ptr;
-  uint32_t size = nqe.size;
-  uint64_t dst = nqe.op_data;
-
-  // No hugepage->stack copy (the Table 6 overhead DoSendTo pays): the UDP
-  // stack builds the wire datagram straight from the chunk. The zero-cycle
-  // trip through the socket's core preserves FIFO order with copy sends.
-  ++c.sends_in_flight;
-  udp_stack_->ChargeOnSocketCore(usid, 0, [this, usid, ptr, size, dst, pool] {
-    Conn* c2 = FindByUsid(usid);
-    if (c2 == nullptr) {
-      pool->Free(ptr);
-      return;
-    }
-    --c2->sends_in_flight;
-    bool handed = false;
-    if (udp_stack_->Exists(usid)) {
-      handed = udp_stack_->SendToZc(usid, shm::AddrIp(dst), shm::AddrPort(dst),
-                                    pool->Data(ptr), size,
-                                    MakeDgramZcFreeCallback(*c2, ptr, size)) >= 0;
-    }
-    if (!handed) {
-      // Datagram lost locally (socket closed / bad destination): ordinary
-      // UDP loss, but the chunk and the send credit must unwind.
-      pool->Free(ptr);
-      Respond(*c2, NqeOp::kSendToResult, NqeOp::kSendToZc, 0, size);
-    }
-    MaybeFinishCloseDgram(usid);
-  });
-}
-
-void ServiceLib::ShipDgrams(udp::SocketId usid) {
-  Conn* c = FindByUsid(usid);
-  if (c == nullptr || c->ship_pending || udp_stack_ == nullptr) return;
+void ServiceLib::ShipDgrams(udp::SocketId sid) {
+  Conn* c = Find(Kind::kDgram, sid);
+  if (c == nullptr || c->ship_pending) return;
   if (c->close_pending) {
     // Stop delivering to a closing guest socket; let the close complete.
-    MaybeFinishCloseDgram(usid);
+    MaybeFinishClose(Kind::kDgram, sid);
     return;
   }
   auto vit = vms_.find(c->vm_id);
   if (vit == vms_.end()) return;
   shm::HugepagePool* pool = vit->second.pool;
 
-  uint32_t next = udp_stack_->NextDatagramSize(usid);
-  if (udp_stack_->RxQueuedDatagrams(usid) == 0 || c->rx_outstanding >= config_.rx_outstanding_cap) {
+  uint32_t next = udp_stack_->NextDatagramSize(sid);
+  if (udp_stack_->RxQueuedDatagrams(sid) == 0 || c->rx_outstanding >= config_.rx_outstanding_cap) {
     return;
   }
   // Zero-copy ship: the front datagram already sits in a chunk of this VM's
   // pool — detach it and forward the handle as kDgramRecvZc.
-  if (udp_stack_->FrontDgramPooled(usid)) {
+  if (udp_stack_->FrontDgramPooled(sid)) {
     c->ship_pending = true;
-    udp_stack_->ChargeOnSocketCore(usid, 0, [this, usid, pool] {
-      Conn* c2 = FindByUsid(usid);
+    udp_stack_->ChargeOnSocketCore(sid, 0, [this, sid, pool] {
+      Conn* c2 = Find(Kind::kDgram, sid);
       if (c2 == nullptr) return;  // UdpStack::Close freed the queued chunks
       c2->ship_pending = false;
       uint64_t handle = 0;
       uint32_t len = 0;
       netsim::IpAddr src_ip = 0;
       uint16_t src_port = 0;
-      if (!udp_stack_->Exists(usid) ||
-          !udp_stack_->DetachFrontDgram(usid, &handle, &len, &src_ip, &src_port)) {
-        ShipDgrams(usid);
+      if (!udp_stack_->Exists(sid) ||
+          !udp_stack_->DetachFrontDgram(sid, &handle, &len, &src_ip, &src_port)) {
+        ShipDgrams(sid);
         return;
       }
       ++dgram_zc_ships_;
@@ -763,7 +715,7 @@ void ServiceLib::ShipDgrams(udp::SocketId usid) {
         // the chunk goes straight back to the pool.
         pool->Free(handle);
       }
-      ShipDgrams(usid);
+      ShipDgrams(sid);
     });
     return;
   }
@@ -772,14 +724,14 @@ void ServiceLib::ShipDgrams(udp::SocketId usid) {
     // Pool exhausted. A returning credit re-invokes us, but with no credit
     // outstanding none would come — poll until space frees up.
     if (c->rx_outstanding == 0) {
-      loop_->ScheduleAfter(50 * kMicrosecond, [this, usid] { ShipDgrams(usid); });
+      loop_->ScheduleAfter(50 * kMicrosecond, [this, sid] { ShipDgrams(sid); });
     }
     return;
   }
   c->ship_pending = true;
   Cycles copy = static_cast<Cycles>(config_.costs.hugepage_copy_per_byte * next);
-  udp_stack_->ChargeOnSocketCore(usid, copy, [this, usid, off, next, pool] {
-    Conn* c2 = FindByUsid(usid);
+  udp_stack_->ChargeOnSocketCore(sid, copy, [this, sid, off, next, pool] {
+    Conn* c2 = Find(Kind::kDgram, sid);
     if (c2 == nullptr) {
       pool->Free(off);
       return;
@@ -787,7 +739,7 @@ void ServiceLib::ShipDgrams(udp::SocketId usid) {
     c2->ship_pending = false;
     netsim::IpAddr src_ip = 0;
     uint16_t src_port = 0;
-    int64_t n = udp_stack_->RecvFrom(usid, pool->Data(off), next, &src_ip, &src_port);
+    int64_t n = udp_stack_->RecvFrom(sid, pool->Data(off), next, &src_ip, &src_port);
     bool shipped = false;
     if (n >= 0) {
       ++dgram_copy_ships_;
@@ -802,22 +754,8 @@ void ServiceLib::ShipDgrams(udp::SocketId usid) {
     // strand credit, as with TCP kRecvData; both rings are 4K deep, so that
     // needs sustained severe overload.)
     if (!shipped) pool->Free(off);
-    ShipDgrams(usid);
+    ShipDgrams(sid);
   });
-}
-
-void ServiceLib::DoCloseDgram(Conn& c) {
-  c.close_pending = true;
-  MaybeFinishCloseDgram(c.usid);
-}
-
-void ServiceLib::MaybeFinishCloseDgram(udp::SocketId usid) {
-  Conn* c = FindByUsid(usid);
-  if (c == nullptr || !c->close_pending) return;
-  if (c->sends_in_flight > 0 || c->ship_pending) return;
-  UnindexSocket(*c);
-  if (udp_stack_ != nullptr) udp_stack_->Close(usid);
-  by_usid_.erase(usid);
 }
 
 // ---------------------------------------------------------------------------
@@ -825,47 +763,42 @@ void ServiceLib::MaybeFinishCloseDgram(udp::SocketId usid) {
 // ---------------------------------------------------------------------------
 
 size_t ServiceLib::ReleaseVmState(uint8_t vm_id, shm::HugepagePool* pool) {
-  // 1. Abort the VM's stream connections. Abort tears the socket down
-  //    synchronously: zc chunks still queued in the send buffer fire their
-  //    exactly-once free callbacks, and pool-backed receive chunks free on
-  //    rcvbuf destruction. Queued-but-unadmitted TX chunks free here.
-  std::vector<tcp::SocketId> sids;
-  for (auto& [sid, conn] : by_sid_) {
-    if (conn->vm_id == vm_id) sids.push_back(sid);
+  // Streams before datagrams, then ascending stack id (Key() sorts so): the
+  // order of the teardown's RSTs and frees does not hang on hash layout.
+  std::vector<uint64_t> keys;
+  for (auto& [key, conn] : conns_) {
+    if (conn->vm_id == vm_id) keys.push_back(key);
   }
-  for (tcp::SocketId sid : sids) {
-    Conn* c = FindBySid(sid);
-    if (c == nullptr) continue;
-    for (const PendingTx& tx : c->pending_tx) pool->Free(tx.ptr);
-    c->pending_tx.clear();
-    stack_->SetCallbacks(sid, {});
-    if (stack_->Exists(sid)) {
-      // Close() unlinks a listener from the port table (and aborts its
-      // unclaimed children); Abort() RSTs a live connection.
-      if (c->listener) {
-        stack_->Close(sid);
-      } else {
-        stack_->Abort(sid);
+  std::sort(keys.begin(), keys.end());
+  for (uint64_t key : keys) {
+    auto it = conns_.find(key);
+    if (it == conns_.end()) continue;
+    Conn& c = *it->second;
+    // Queued-but-unadmitted TX chunks free here. Abort tears a stream down
+    // synchronously: zc chunks still in its send buffer fire their
+    // exactly-once free callbacks, and pool-backed receive chunks free on
+    // rcvbuf destruction; UdpStack::Close frees pool-landed queued datagrams
+    // through the rx allocator's free hook.
+    for (const PendingTx& tx : c.pending_tx) pool->Free(tx.ptr);
+    c.pending_tx.clear();
+    if (c.kind == Kind::kDgram) {
+      udp_stack_->Close(c.sid);
+    } else {
+      stack_->SetCallbacks(c.sid, {});
+      if (stack_->Exists(c.sid)) {
+        // Close() unlinks a listener from the port table (and aborts its
+        // unclaimed children); Abort() RSTs a live connection.
+        if (c.listener) {
+          stack_->Close(c.sid);
+        } else {
+          stack_->Abort(c.sid);
+        }
       }
     }
-    UnindexSocket(*c);
-    by_sid_.erase(sid);
+    UnindexSocket(c);
+    conns_.erase(key);
   }
-
-  // 2. Close the VM's datagram sockets: UdpStack frees pool-landed queued
-  //    datagrams through the rx allocator's free hook.
-  std::vector<udp::SocketId> usids;
-  for (auto& [usid, conn] : by_usid_) {
-    if (conn->vm_id == vm_id) usids.push_back(usid);
-  }
-  for (udp::SocketId usid : usids) {
-    Conn* c = FindByUsid(usid);
-    if (c == nullptr) continue;
-    if (udp_stack_ != nullptr) udp_stack_->Close(usid);
-    UnindexSocket(*c);
-    by_usid_.erase(usid);
-  }
-  return sids.size() + usids.size();
+  return keys.size();
 }
 
 }  // namespace netkernel::core

@@ -15,6 +15,13 @@
 // One ServiceLib serves many VMs (multiplexing, §6.1): each VM attaches with
 // its own hugepage pool and IP address, and the FairShare NSM (§6.2) installs
 // a per-VM shared congestion window through SetVmCcFactory.
+//
+// Stream and datagram sockets share one datapath: one owner table keyed by
+// (socket kind, stack socket id) and one handler per job for socket
+// creation, bind, send-to, zero-copy chunk frees, close and per-VM teardown.
+// Only receive shipping stays per kind (ShipRecv/ShipDgrams): a receive NQE
+// lost to a full ring breaks a byte stream (error FIN) but merely drops a
+// datagram, so a merged shipper would branch on the kind at every step.
 
 #ifndef SRC_CORE_SERVICELIB_H_
 #define SRC_CORE_SERVICELIB_H_
@@ -45,8 +52,6 @@ class ServiceLib : public NsmService {
   // `udp_stack` may be null: SOCK_DGRAM NQEs then fail with an error result.
   ServiceLib(sim::EventLoop* loop, uint8_t nsm_id, CoreEngine* ce, shm::NkDevice* dev,
              tcp::TcpStack* stack, udp::UdpStack* udp_stack, Config config);
-  ServiceLib(sim::EventLoop* loop, uint8_t nsm_id, CoreEngine* ce, shm::NkDevice* dev,
-             tcp::TcpStack* stack, udp::UdpStack* udp_stack = nullptr);
   ~ServiceLib() override;
 
   void AttachVm(uint8_t vm_id, shm::HugepagePool* pool, netsim::IpAddr vm_ip) override;
@@ -85,65 +90,65 @@ class ServiceLib : public NsmService {
     // freed only when the byte range is ACKed (kSendZcComplete).
     bool zc = false;
   };
+  // Which stack a socket lives in. Part of the owner-table key: stream and
+  // datagram stack ids are both uint32_t counters and collide.
+  enum class Kind : uint8_t { kStream, kDgram };
   struct Conn : NsmSocket {
-    tcp::SocketId sid = tcp::kInvalidSocket;
-    // Datagram sockets live in the UDP stack; sid stays invalid for them.
-    bool dgram = false;
-    udp::SocketId usid = udp::kInvalidSocket;
+    Kind kind = Kind::kStream;
+    uint32_t sid = 0;       // tcp::SocketId or udp::SocketId, by kind
     bool linked = false;    // guest handle known (post-accept link)
     bool listener = false;
     bool fin_sent_to_vm = false;
     bool ship_pending = false;
     bool close_pending = false;
-    int sends_in_flight = 0;  // kSend copies charged but not yet queued
+    int sends_in_flight = 0;  // send copies charged but not yet handed over
     uint64_t rx_outstanding = 0;
-    std::deque<PendingTx> pending_tx;
+    std::deque<PendingTx> pending_tx;  // streams only
   };
 
   void Dispatch(const shm::Nqe& nqe) override;
   size_t ReleaseVmState(uint8_t vm_id, shm::HugepagePool* pool) override;
 
+  static uint64_t Key(Kind kind, uint32_t sid) {
+    return (static_cast<uint64_t>(kind) << 32) | sid;
+  }
   Conn* FindByVm(uint8_t vm_id, uint32_t vm_sock) {
     return static_cast<Conn*>(FindSocket(vm_id, vm_sock));
   }
-  Conn* FindBySid(tcp::SocketId sid);
-  Conn* FindByUsid(udp::SocketId usid);
-  Conn& NewConn(uint8_t vm_id, uint8_t vm_qset, uint32_t vm_sock);
+  Conn* Find(Kind kind, uint32_t sid);
+  // Builds a Conn for stack socket (kind, sid) and makes the table own it.
+  Conn& NewConn(Kind kind, uint32_t sid, uint8_t vm_id, uint8_t vm_qset, uint32_t vm_sock);
   void InstallDataCallbacks(Conn& c);
 
-  // NQE handlers.
-  void DoSocket(const shm::Nqe& nqe);
-  void DoBind(const shm::Nqe& nqe, Conn& c);
+  // NQE handlers. The socket kind follows from the op (kSocket/kSocketUdp)
+  // or from the Conn; Dispatch refuses ops of the other kind.
+  void DoSocket(const shm::Nqe& nqe);          // kSocket and kSocketUdp
+  void DoBind(const shm::Nqe& nqe, Conn& c);   // kBind and kBindUdp
   void DoListen(const shm::Nqe& nqe, Conn& c);
   void DoConnect(const shm::Nqe& nqe, Conn& c);
   void DoAcceptLink(const shm::Nqe& nqe);
-  void DoSend(const shm::Nqe& nqe, Conn& c);  // kSend and kSendZc
+  void DoSend(const shm::Nqe& nqe, Conn& c);    // kSend and kSendZc
+  void DoSendTo(const shm::Nqe& nqe, Conn& c);  // kSendTo and kSendToZc
   void DoClose(Conn& c);
-  void MaybeFinishClose(tcp::SocketId sid);
+  // Finishes a pending close once nothing the socket owes is in flight: a
+  // stream flushes its queued sends first, a datagram socket also waits for
+  // a receive ship already charged to its core.
+  void MaybeFinishClose(Kind kind, uint32_t sid);
   void DrainPendingTx(Conn& c);
-  // Builds the on-ACK free callback for a zero-copy chunk: frees it into the
-  // VM's pool and returns the send credit via kSendZcComplete. Safe to fire
-  // from TcpStack teardown after this ServiceLib or the VM is gone.
-  std::function<void()> MakeZcFreeCallback(const Conn& c, uint64_t ptr, uint32_t size);
-  // A zero-copy chunk that can no longer reach the stack: free it and return
-  // the credit with an error status.
+  // Builds the free callback for a zero-copy chunk (`orig` = kSendZc or
+  // kSendToZc): frees it into the VM's pool and returns the send credit as
+  // `done` (kSendZcComplete on ACK, kSendToResult once the datagram is on
+  // the wire). Safe to fire from stack teardown after this ServiceLib or the
+  // VM is gone.
+  std::function<void()> MakeZcFreeCallback(const Conn& c, shm::NqeOp done, shm::NqeOp orig,
+                                           uint64_t ptr, uint32_t size);
+  // A zero-copy stream chunk that can no longer reach the stack: free it and
+  // return the credit with an error status.
   void FailZcTx(const Conn& c, uint64_t ptr, uint32_t size);
 
-  // Datagram (SOCK_DGRAM) handlers.
-  void DoSocketUdp(const shm::Nqe& nqe);
-  void DoBindUdp(const shm::Nqe& nqe, Conn& c);
-  void DoSendTo(const shm::Nqe& nqe, Conn& c);
-  void DoSendToZc(const shm::Nqe& nqe, Conn& c);
-  void DoCloseDgram(Conn& c);
-  void MaybeFinishCloseDgram(udp::SocketId usid);
-  // Datagram receive shipping (udp stack -> hugepages -> kDgramRecv NQEs).
-  void ShipDgrams(udp::SocketId usid);
-  // On-commit free callback for a zero-copy datagram chunk: frees it into the
-  // VM's pool and returns the send credit via kSendToResult (orig kSendToZc).
-  std::function<void()> MakeDgramZcFreeCallback(const Conn& c, uint64_t ptr, uint32_t size);
-
-  // Receive shipping (stack -> hugepages -> kRecvData NQEs).
+  // Receive shipping (stack -> hugepages -> kRecvData / kDgramRecv NQEs).
   void ShipRecv(tcp::SocketId sid);
+  void ShipDgrams(udp::SocketId sid);
   // A kRecvData died at a full ring after its bytes left the stack: the
   // stream is broken — error the connection (retries until the FIN fits).
   void DeliverErrorFin(tcp::SocketId sid);
@@ -154,9 +159,7 @@ class ServiceLib : public NsmService {
   Config config_;
 
   std::unordered_map<uint8_t, VmStack> vm_stacks_;
-  std::unordered_map<tcp::SocketId, std::unique_ptr<Conn>> by_sid_;  // owner
-  std::unordered_map<udp::SocketId, std::unique_ptr<Conn>> by_usid_;  // owner (dgram)
-  std::unique_ptr<Conn> pending_owner_;  // freshly built Conn awaiting indexing
+  std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;  // owner, by Key()
   uint64_t rx_zc_ships_ = 0;
   uint64_t rx_copy_ships_ = 0;
   uint64_t dgram_zc_ships_ = 0;

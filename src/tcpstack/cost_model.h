@@ -5,13 +5,13 @@
 // One TCP protocol implementation serves both "placements" the paper
 // compares; what differs is where the cycles are spent and how much each
 // operation costs:
-//   * kKernelProfile  — Linux kernel TCP: syscall crossings, softirq RX,
+//   * KernelProfile() — Linux kernel TCP: syscall crossings, softirq RX,
 //     shared listener/port-table locks (sublinear multicore scaling).
-//   * kMtcpProfile    — mTCP on DPDK: no syscalls, polled RX, per-core
+//   * MtcpProfile()   — mTCP on DPDK: no syscalls, polled RX, per-core
 //     listener tables, batched event delivery.
 // Constants are calibrated so the Baseline configuration lands in the
-// ballpark of the paper's absolute numbers (Figs 13-20); EXPERIMENTS.md
-// records the calibration targets next to each measured result.
+// ballpark of the paper's absolute numbers (Figs 13-20); the bench/ binary
+// for each figure prints the measured result next to the paper's.
 
 #ifndef SRC_TCPSTACK_COST_MODEL_H_
 #define SRC_TCPSTACK_COST_MODEL_H_

@@ -12,7 +12,15 @@ namespace netkernel::tcp {
 namespace {
 
 constexpr int kMaxSynRetries = 6;
+constexpr SimTime kMinRto = 5 * kMillisecond;
 constexpr SimTime kMaxRto = 2 * kSecond;
+// Packets taken off the NIC per softirq drain.
+constexpr size_t kRxBatch = 64;
+// NIC-ring overflow model: drop arriving packets when the owning core is
+// backlogged beyond this horizon.
+constexpr SimTime kRxBacklogCap = 3 * kMillisecond;
+// NIC line rate used to model TX-completion timing (TSQ release).
+constexpr BitRate kNicRate = 100 * kGbps;
 
 uint64_t SymmetricFlowHash(const FourTuple& t) {
   uint64_t a = (static_cast<uint64_t>(t.local_ip) << 16) ^ t.local_port;
@@ -78,7 +86,7 @@ SocketId TcpStack::CreateSocket() {
   sock->sndbuf_limit = config_.sndbuf_bytes;
   sock->rcvbuf_limit = config_.rcvbuf_bytes;
   sock->cc = config_.cc_factory();
-  sock->rto = config_.min_rto;
+  sock->rto = kMinRto;
   SocketId id = sock->id;
   socks_[id] = std::move(sock);
   return id;
@@ -484,7 +492,7 @@ void TcpStack::PumpTx(SocketId id) {
         // TSQ: hold the socket's qdisc occupancy until the (coalesced) TX
         // completion fires.
         s3->tsq_outstanding += len;
-        SimTime completion = TransmitTime(WireBytes(len), config_.nic_rate_hint) +
+        SimTime completion = TransmitTime(WireBytes(len), kNicRate) +
                              config_.profile.tx_completion_delay;
         loop_->ScheduleAfter(completion, [this, id, len] {
           Sock* s4 = Find(id);
@@ -535,7 +543,7 @@ void TcpStack::UpdateRtt(Sock& s, SimTime rtt) {
     s.rttvar = (3 * s.rttvar + err) / 4;
     s.srtt = (7 * s.srtt + rtt) / 8;
   }
-  s.rto = std::max(config_.min_rto, s.srtt + 4 * s.rttvar);
+  s.rto = std::max(kMinRto, s.srtt + 4 * s.rttvar);
   if (s.rto > kMaxRto) s.rto = kMaxRto;
 }
 
@@ -626,7 +634,7 @@ void TcpStack::ScheduleRxDrain(SimTime delay) {
 
 void TcpStack::DrainRx() {
   rx_drain_scheduled_ = false;
-  std::vector<netsim::Packet> pkts(static_cast<size_t>(config_.rx_batch));
+  std::vector<netsim::Packet> pkts(kRxBatch);
   size_t n = nic_->DrainRx(pkts.data(), pkts.size());
   if (n == 0) return;
 
@@ -649,7 +657,7 @@ void TcpStack::DrainRx() {
     if (!seg) continue;
     int cidx = static_cast<int>(pkts[i].flow_hash % cores_.size());
     // NIC-ring overflow: the owning core is hopelessly backlogged.
-    if (cores_[cidx]->IdleAt() - now > config_.rx_backlog_cap) {
+    if (cores_[cidx]->IdleAt() - now > kRxBacklogCap) {
       ++stats_.rx_ring_drops;
       continue;
     }

@@ -8,6 +8,14 @@
 
 namespace netkernel::udp {
 
+namespace {
+
+// NIC-ring overflow model: drop arriving datagrams when the owning core is
+// backlogged beyond this horizon (the same model and horizon as TcpStack).
+constexpr SimTime kRxBacklogCap = 3 * kMillisecond;
+
+}  // namespace
+
 UdpStack::UdpStack(sim::EventLoop* loop, netsim::Nic* nic, std::vector<sim::CpuCore*> cores,
                    UdpStackConfig config)
     : loop_(loop), nic_(nic), cores_(std::move(cores)), config_(std::move(config)) {
@@ -265,7 +273,7 @@ void UdpStack::OnPacket(netsim::Packet pkt) {
   sim::CpuCore* core = cores_[static_cast<size_t>(s->core_idx)];
   const SimTime now = loop_->Now();
   // NIC-ring overflow: the owning core is hopelessly backlogged.
-  if (core->IdleAt() - now > config_.rx_backlog_cap) {
+  if (core->IdleAt() - now > kRxBacklogCap) {
     ++stats_.rx_ring_drops;
     return;
   }

@@ -380,6 +380,149 @@ TEST(NkGuard, QuarantineReclaimsChunksSparesCoTenantAndUnwindsCleanly) {
   EXPECT_EQ(host_a.ce().validator().stats().quarantines, 1u);
 }
 
+// Binds a datagram socket that never reads, so inbound datagrams pile up.
+sim::Task<void> DgramHold(Vm* vm, uint16_t port, std::vector<int>* fds) {
+  SocketApi& api = vm->api();
+  sim::CpuCore* cpu = vm->vcpu(0);
+  int fd = co_await api.SocketDgram(cpu);
+  if (fd < 0) co_return;
+  fds->push_back(fd);
+  co_await api.Bind(cpu, fd, 0, port);
+}
+
+sim::Task<void> DgramBlast(Vm* vm, netsim::IpAddr dst, uint16_t port, int count) {
+  SocketApi& api = vm->api();
+  sim::CpuCore* cpu = vm->vcpu(0);
+  int fd = co_await api.SocketDgram(cpu);
+  if (fd < 0) co_return;
+  std::vector<uint8_t> msg(4000, 0x3c);
+  for (int i = 0; i < count; ++i) co_await api.SendTo(cpu, fd, dst, port, msg.data(), msg.size());
+  co_await api.Close(cpu, fd);
+}
+
+TEST(NkGuard, QuarantineTearsDownBothSocketKindsAndBothRecover) {
+  Host::ResetIpAllocator();
+  sim::EventLoop loop;
+  netsim::Fabric fabric(&loop);
+  Host::Options opts;
+  // A small per-socket receive window keeps most blasted datagrams queued in
+  // the NSM's UDP stack (landed in the VM's pool) instead of shipped on.
+  opts.servicelib.rx_outstanding_cap = 16 * kKiB;
+  Host host_a(&loop, &fabric, "hostA", opts);
+  Host host_b(&loop, &fabric, "hostB");
+  Nsm* nsm = host_a.CreateNsm("nsm", 2, NsmKind::kKernel);
+  Vm* vm = host_a.CreateNetkernelVm("vm", 2, nsm);
+  Vm* peer = host_b.CreateBaselineVm("peer", 2);
+  core::GuestLib* gl = vm->guestlib();
+  const udp::UdpStack* udp = nsm->servicelib()->udp_stack();
+
+  auto fds = std::make_shared<std::vector<int>>();
+  apps::StreamStats sink;
+  apps::StartStreamSink(peer, 9000, &sink, 1);
+  sim::Spawn(StreamSender(vm, peer->ip(), 9000, 64 * kMiB, fds.get()));
+  sim::Spawn(DgramHold(vm, 7000, fds.get()));
+  loop.Run(loop.Now() + 1 * kMillisecond);
+  sim::Spawn(DgramBlast(peer, vm->ip(), 7000, 32));
+  loop.Run(loop.Now() + 10 * kMillisecond);
+  ASSERT_GT(gl->zc_sends(), gl->zc_completions()) << "no stream chunks in flight";
+  ASSERT_GT(udp->stats().rx_zc_landed, gl->dgram_zc_recvs())
+      << "no unread datagrams parked in the NSM";
+
+  // One teardown walks both socket kinds: the stream is aborted (its zc
+  // chunks free), the datagram socket closed (its pool-landed queue frees).
+  host_a.QuarantineVm(vm);
+  loop.Run(loop.Now() + 5 * kMillisecond);
+  // What the pool still lends out is the guest's own: datagrams already
+  // shipped to it (unread), sends queued in its now-unpolled device rings,
+  // and at most the loan the sender coroutine acquired but never submitted.
+  size_t guest_queued = 0;
+  for (int qs = 0; qs < vm->dev()->num_queue_sets(); ++qs) {
+    guest_queued += vm->dev()->queue_set(qs).send.Size();
+  }
+  EXPECT_LE(vm->pool()->chunks_in_use(), guest_queued + gl->dgram_zc_recvs() + 1);
+  EXPECT_EQ(host_a.ce().SocketTableSize(), 0u);
+
+  // Both socket kinds round-trip again once the VM is back.
+  host_a.UnquarantineVm(vm);
+  bool echoed = false;
+  sim::Spawn(DgramEcho(peer, 5353));
+  sim::Spawn(DgramProbe(vm, peer->ip(), 5353, &echoed));
+  apps::EpollServerConfig server;
+  server.port = 8080;
+  apps::ServerStats server_stats;
+  apps::StartEpollServer(peer, server, &server_stats);
+  apps::LoadGenConfig req;
+  req.server_ip = peer->ip();
+  req.port = 8080;
+  apps::LoadGenStats req_stats;
+  apps::IssueOneRequest(vm, vm->vcpu(1), req, &req_stats);
+  loop.Run(loop.Now() + 20 * kMillisecond);
+  EXPECT_TRUE(echoed) << "no datagram round-trip after recovery";
+  EXPECT_EQ(req_stats.completed, 1u) << "no stream round-trip after recovery";
+  EXPECT_EQ(req_stats.errors, 0u);
+
+  sim::Spawn(CloseAll(vm, fds.get()));
+  loop.Run(loop.Now() + 150 * kMillisecond);
+  EXPECT_EQ(vm->pool()->bytes_in_use(), 0u);
+  EXPECT_EQ(vm->pool()->allocs(), vm->pool()->frees());
+}
+
+// Counts datagrams arriving on `port` whose source is `from`.
+sim::Task<void> DgramCountFrom(Vm* vm, uint16_t port, netsim::IpAddr from, int* count) {
+  SocketApi& api = vm->api();
+  sim::CpuCore* cpu = vm->vcpu(0);
+  int fd = co_await api.SocketDgram(cpu);
+  if (fd < 0) co_return;
+  if (0 != co_await api.Bind(cpu, fd, 0, port)) co_return;
+  std::vector<uint8_t> buf(2048);
+  for (;;) {
+    netsim::IpAddr ip = 0;
+    if (co_await api.RecvFrom(cpu, fd, buf.data(), buf.size(), &ip, nullptr) < 0) co_return;
+    if (ip == from) ++*count;
+  }
+}
+
+TEST(NkGuard, WrongKindOpCannotReachCoTenantSocket) {
+  // ServiceLib keys stream and datagram sockets by (kind, stack id), and TCP
+  // and UDP ids are separate counters: VM a's first stream socket and VM b's
+  // first datagram socket both carry stack id 1. A datagram send that names
+  // a stream socket must be refused, not sent from UDP socket 1 — that would
+  // put a's payload on the wire under b's address.
+  Host::ResetIpAllocator();
+  sim::EventLoop loop;
+  netsim::Fabric fabric(&loop);
+  Host host_a(&loop, &fabric, "hostA");
+  Host host_b(&loop, &fabric, "hostB");
+  Nsm* nsm = host_a.CreateNsm("nsm", 1, NsmKind::kKernel);
+  Vm* a = host_a.CreateNetkernelVm("a", 1, nsm);
+  Vm* b = host_a.CreateNetkernelVm("b", 1, nsm);
+  Vm* peer = host_b.CreateBaselineVm("peer", 1);
+
+  int from_b = 0;
+  sim::Spawn(DgramCountFrom(peer, 7777, b->ip(), &from_b));
+  sim::Spawn(DgramEcho(b, 5353));
+  int stream_fd = -1;
+  auto open_stream = [&]() -> sim::Task<void> {
+    stream_fd = co_await a->api().Socket(a->vcpu(0));
+  };
+  sim::Spawn(open_stream());
+  loop.Run(loop.Now() + 1 * kMillisecond);
+  ASSERT_GE(stream_fd, 0);
+
+  // kSendTo on a's stream socket (guest handle 1) with a chunk a owns:
+  // well-formed, so the guard admits it; only the socket kind is wrong.
+  const uint64_t chunk = a->pool()->Alloc(64);
+  ASSERT_NE(chunk, HugepagePool::kInvalidOffset);
+  Nqe forged = MakeNqe(NqeOp::kSendTo, a->id(), 0, /*vm_sock=*/1,
+                       shm::PackAddr(peer->ip(), 7777), chunk, 64);
+  ASSERT_TRUE(a->dev()->queue_set(0).send.TryEnqueue(forged));
+  host_a.ce().NotifyVmOutbound(a->id(), 0);
+  loop.Run(loop.Now() + 5 * kMillisecond);
+
+  EXPECT_EQ(from_b, 0) << "a's datagram left under b's address";
+  EXPECT_EQ(a->pool()->chunks_in_use(), 0u) << "the refused send kept its chunk";
+}
+
 TEST(NkGuard, QuarantineOnSharedMemoryNsmReclaimsChunksAndSparesCoTenant) {
   Host::ResetIpAllocator();
   sim::EventLoop loop;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -16,6 +17,7 @@ namespace netkernel {
 namespace {
 
 using core::Host;
+using core::NkBuf;
 using core::Nsm;
 using core::NsmKind;
 using core::SocketApi;
@@ -265,25 +267,41 @@ TEST_F(UdpTest, HugepagePoolDrainsAfterUdpTraffic) {
 }
 
 TEST_F(UdpTest, BurstThenImmediateCloseLeaksNothing) {
-  // Close overtaking queued kSendTo NQEs (they ride different rings) must not
-  // strand hugepage chunks: CoreEngine forwards the orphans statelessly and
-  // ServiceLib frees chunks whose socket is already gone.
+  // Close overtaking queued kSendTo / kSendToZc NQEs (they ride different
+  // rings) must not strand hugepage chunks or send credit: CoreEngine
+  // forwards the orphans statelessly, ServiceLib frees chunks whose socket is
+  // already gone, and every zero-copy datagram still draws its completion.
   Nsm* nsm = HostA().CreateNsm("nsm", 1, NsmKind::kKernel);
   Vm* nk = HostA().CreateNetkernelVm("nk", 1, nsm);
   Vm* base = HostB().CreateBaselineVm("base", 1);
-  auto burst = [&]() -> sim::Task<void> {
-    SocketApi& api = nk->api();
-    sim::CpuCore* cpu = nk->vcpu(0);
-    int fd = co_await api.SocketDgram(cpu);
-    std::vector<uint8_t> msg(2048, 0x42);
-    for (int i = 0; i < 50; ++i) {
-      co_await api.SendTo(cpu, fd, base->ip(), 9999, msg.data(), msg.size());
-    }
-    co_await api.Close(cpu, fd);
-  };
-  sim::Spawn(burst());
-  Run(3 * kSecond);
-  EXPECT_EQ(nk->pool()->bytes_in_use(), 0u);
+  constexpr int kBurst = 50;
+  for (bool zc : {false, true}) {
+    SCOPED_TRACE(zc ? "zero-copy SendToBuf" : "copy SendTo");
+    auto burst = [&]() -> sim::Task<void> {
+      SocketApi& api = nk->api();
+      sim::CpuCore* cpu = nk->vcpu(0);
+      int fd = co_await api.SocketDgram(cpu);
+      std::vector<uint8_t> msg(2048, 0x42);
+      for (int i = 0; i < kBurst; ++i) {
+        if (!zc) {
+          co_await api.SendTo(cpu, fd, base->ip(), 9999, msg.data(), msg.size());
+          continue;
+        }
+        NkBuf loan;
+        if (co_await api.AcquireTxBuf(cpu, fd, msg.size(), &loan) != 0) break;
+        loan.size = static_cast<uint32_t>(msg.size());
+        std::memcpy(loan.data, msg.data(), msg.size());
+        co_await api.SendToBuf(cpu, fd, base->ip(), 9999, loan);
+      }
+      co_await api.Close(cpu, fd);
+    };
+    sim::Spawn(burst());
+    Run(3 * kSecond);
+    EXPECT_EQ(nk->pool()->bytes_in_use(), 0u);
+    EXPECT_EQ(nk->pool()->allocs(), nk->pool()->frees());
+  }
+  EXPECT_EQ(nk->guestlib()->dgram_zc_sends(), static_cast<uint64_t>(kBurst));
+  EXPECT_EQ(nk->guestlib()->dgram_zc_completions(), static_cast<uint64_t>(kBurst));
 }
 
 TEST_F(UdpTest, CloseUnderIncomingTrafficReleasesThePort) {

@@ -13,6 +13,7 @@ Usage:
                         --curr <dir-with-current-BENCH_*.json> \
                         [--threshold 0.10]
     tools/bench_diff.py --list-gates [--threshold 0.10]
+    tools/bench_diff.py --nkbench <dir-with-<workload>.json> [--refresh]
 
 When --prev holds no rows (a fresh clone, or CI's first run), the diff runs
 against the blessed snapshot in bench/baseline/ instead: the BENCH_*.json rows
@@ -23,6 +24,15 @@ change (see REFRESH_HINT); when --prev does hold rows, the script still reports
 how many of the current rows the snapshot disagrees with, so a stale snapshot
 shows up in every run's log. A new metric absent from the previous rows is
 reported but never fails.
+
+--nkbench checks nkbench's virtual end-to-end metrics (NKBENCH_EXACT) for exact
+equality against the snapshot bench/baseline/nkbench_seed1.json. The directory
+holds one <workload>.json per workload: the last stdout line of
+`nkbench --workload <workload> --seed 1 --seconds 1 --trace 0`. These metrics
+are deterministic per seed whatever --seconds is, so any difference is a model
+change: it fails until the same change refreshes the snapshot (--refresh
+rewrites it from the directory; see NKBENCH_REFRESH_HINT). The wall-clock and
+host figures (sim_refev_per_op, setup_s, peak_rss_mb) are not checked.
 
 --list-gates prints the gated-metric set, one `bench metric direction
 threshold` row per gate, so the set is itself lintable: diff it against the
@@ -44,6 +54,18 @@ refresh bench/baseline/ from a Release build (cmake -B build-rel -DCMAKE_BUILD_T
   ./build-rel/bench_table6_cpu_throughput --smoke --json bench/baseline/BENCH_table6.json
   ./build-rel/bench_obs_overhead --smoke --json bench/baseline/BENCH_obs.json
   ./build-rel/bench_nsm_failover --smoke --json bench/baseline/BENCH_failover.json"""
+
+NKBENCH_SNAPSHOT = "nkbench_seed1.json"
+NKBENCH_EXACT = ("cycles_per_op", "ok_frac", "p50_us", "p99_us", "p999_us", "p99_us_lo",
+                 "capacity_kops", "tx_gbps", "rx_gbps")
+NKBENCH_REFRESH_HINT = """\
+refresh bench/baseline/nkbench_seed1.json from a Release nkbench build
+(cmake -S nkbench -B build-nkbench -DCMAKE_BUILD_TYPE=Release):
+  mkdir -p nkbench-out
+  for w in kv_udp_open http_short_closed bulk_txrx; do
+    ./build-nkbench/nkbench --workload $w --seed 1 --seconds 1 --trace 0 | tail -1 > nkbench-out/$w.json
+  done
+  python3 tools/bench_diff.py --nkbench nkbench-out --refresh"""
 
 # Metrics where a LOWER value is better; everything else is higher-is-better.
 LOWER_IS_BETTER = {
@@ -91,9 +113,9 @@ GATED = {
 }
 
 
-def load_rows(directory):
+def load_rows(directory, pattern="BENCH_*.json"):
     rows = {}
-    for path in sorted(glob.glob(os.path.join(directory, "BENCH_*.json"))):
+    for path in sorted(glob.glob(os.path.join(directory, pattern))):
         try:
             with open(path) as f:
                 data = json.load(f)
@@ -104,6 +126,62 @@ def load_rows(directory):
             key = (row.get("bench", ""), row.get("config", ""), row.get("metric", ""))
             rows[key] = float(row.get("value", 0.0))
     return rows
+
+
+def load_nkbench_rows(directory):
+    """(nkbench, workload, metric) rows from <workload>.json result lines."""
+    rows = {}
+    for path in sorted(glob.glob(os.path.join(directory, "*.json"))):
+        workload = os.path.splitext(os.path.basename(path))[0]
+        try:
+            with open(path) as f:
+                metrics = json.loads(f.read().strip().splitlines()[-1])["metrics"]
+        except (OSError, IndexError, KeyError, json.JSONDecodeError) as e:
+            print(f"warning: no nkbench result in {path}: {e}", file=sys.stderr)
+            continue
+        for metric in NKBENCH_EXACT:
+            if metric in metrics:
+                rows[("nkbench", workload, metric)] = float(metrics[metric]["value"])
+    return rows
+
+
+def check_nkbench(directory, refresh):
+    """Exact-equality check of nkbench's virtual metrics against the snapshot."""
+    curr = load_nkbench_rows(directory)
+    if not curr:
+        print(f"no nkbench results in {directory}")
+        return 1
+    snapshot = os.path.join(BASELINE_DIR, NKBENCH_SNAPSHOT)
+    if refresh:
+        rows = [{"bench": b, "config": c, "metric": m, "value": v}
+                for (b, c, m), v in sorted(curr.items())]
+        with open(snapshot, "w") as f:
+            f.write("[\n" + ",\n".join("  " + json.dumps(r) for r in rows) + "\n]\n")
+        print(f"wrote {len(rows)} rows to {snapshot}")
+        return 0
+    prev = load_rows(BASELINE_DIR, NKBENCH_SNAPSHOT)
+    changed = 0
+    header = f"{'workload':<20} {'metric':<14} {'snapshot':>20} {'this run':>20} {'delta':>10}"
+    print(header)
+    print("-" * len(header))
+    for key in sorted(set(prev) | set(curr)):
+        _, workload, metric = key
+        pv, cv = prev.get(key), curr.get(key)
+        ps = "(none)" if pv is None else repr(pv)
+        cs = "(none)" if cv is None else repr(cv)
+        delta = f"{(cv - pv) / abs(pv) * 100:+.4f}%" if pv and cv is not None else ""
+        flag = ""
+        if pv != cv:
+            flag = " <-- CHANGED"
+            changed += 1
+        print(f"{workload:<20} {metric:<14} {ps:>20} {cs:>20} {delta:>10}{flag}")
+    if changed:
+        print(f"\nFAIL: {changed} nkbench virtual metric(s) differ from {snapshot}.")
+        print("These are deterministic per seed, so the change moved the model. If that is "
+              "intended, " + NKBENCH_REFRESH_HINT)
+        return 1
+    print(f"\nOK: all {len(curr)} nkbench virtual metrics match the snapshot exactly")
+    return 0
 
 
 def gate_threshold(bench, metric, default):
@@ -133,12 +211,21 @@ def main():
     ap.add_argument("--list-gates", action="store_true",
                     help="print the gated-metric set (bench metric direction "
                          "threshold) and exit")
+    ap.add_argument("--nkbench", metavar="DIR",
+                    help="check the nkbench results <workload>.json in DIR for exact "
+                         "equality with bench/baseline/" + NKBENCH_SNAPSHOT)
+    ap.add_argument("--refresh", action="store_true",
+                    help="with --nkbench: rewrite the snapshot from DIR instead of checking")
     args = ap.parse_args()
 
     if args.list_gates:
         return list_gates(args.threshold)
+    if args.nkbench is not None:
+        return check_nkbench(args.nkbench, args.refresh)
+    if args.refresh:
+        ap.error("--refresh goes with --nkbench")
     if args.prev is None or args.curr is None:
-        ap.error("--prev and --curr are required unless --list-gates is given")
+        ap.error("--prev and --curr are required unless --list-gates or --nkbench is given")
 
     prev = load_rows(args.prev)
     curr = load_rows(args.curr)
