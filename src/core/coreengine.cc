@@ -66,7 +66,7 @@ CeMessage CoreEngine::HandleControlMessage(CeMessage req) {
     case CeOp::kAssignVmToNsm: {
       uint8_t vm = static_cast<uint8_t>(req.ce_data >> 8);
       uint8_t nsm = static_cast<uint8_t>(req.ce_data & 0xff);
-      if (vms_.count(vm) == 0 || nsms_.count(nsm) == 0) {
+      if (vms_[vm].dev == nullptr || nsms_[nsm].dev == nullptr) {
         return {static_cast<uint32_t>(CeOp::kError), req.ce_data};
       }
       AssignVmToNsm(vm, nsm);
@@ -94,7 +94,7 @@ CeMessage CoreEngine::HandleControlMessage(CeMessage req) {
     }
     case CeOp::kHeartbeat: {
       uint8_t nsm = static_cast<uint8_t>(req.ce_data);
-      if (nsms_.count(nsm) == 0) {
+      if (nsms_[nsm].dev == nullptr) {
         return {static_cast<uint32_t>(CeOp::kError), req.ce_data};
       }
       RecordNsmHeartbeat(nsm);
@@ -120,82 +120,72 @@ CeMessage CoreEngine::HandleControlMessage(CeMessage req) {
 }
 
 void CoreEngine::RegisterVmDevice(uint8_t vm_id, shm::NkDevice* dev) {
-  NK_CHECK(vms_.count(vm_id) == 0);
-  VmReg reg;
+  VmReg& reg = vms_[vm_id];
+  NK_CHECK(reg.dev == nullptr);
   reg.dev = dev;
-  vms_.emplace(vm_id, std::move(reg));
   // Default placement: hash each queue set over the shards. Explicit
   // AssignQueueSetToShard and work stealing can both move it later.
   const int nqs = dev->num_queue_sets();
+  reg.qset_shard.resize(static_cast<size_t>(nqs));
   for (int qs = 0; qs < nqs; ++qs) {
-    uint16_t key = QsetKey(vm_id, static_cast<uint8_t>(qs));
-    int shard = static_cast<int>(HashSpread(key, shards_.size()));
-    vm_qset_shard_[key] = shard;
+    int shard = static_cast<int>(
+        HashSpread(QsetKey(vm_id, static_cast<uint8_t>(qs)), shards_.size()));
+    reg.qset_shard[static_cast<size_t>(qs)] = shard;
     shards_[static_cast<size_t>(shard)]->AddVmQset(vm_id, static_cast<uint8_t>(qs));
   }
 }
 
 void CoreEngine::RegisterNsmDevice(uint8_t nsm_id, shm::NkDevice* dev) {
-  NK_CHECK(nsms_.count(nsm_id) == 0);
-  nsms_[nsm_id] = dev;
+  NsmReg& reg = nsms_[nsm_id];
+  NK_CHECK(reg.dev == nullptr);
+  reg.dev = dev;
   // Registration counts as activity: a fresh NSM gets a full liveness window
   // before its first heartbeat can possibly arrive.
-  nsm_health_[nsm_id] = NsmHealth{loop_->Now(), 0};
+  reg.last_activity = loop_->Now();
   // Consecutive queue sets land on consecutive shards, so an NSM with at
   // least num_shards() queue sets keeps every switching core reachable for
   // shard-aligned connection placement.
   const size_t base = HashSpread(nsm_id, shards_.size());
   const int nqs = dev->num_queue_sets();
+  reg.qset_shard.resize(static_cast<size_t>(nqs));
   for (int qs = 0; qs < nqs; ++qs) {
     int shard = static_cast<int>((base + static_cast<size_t>(qs)) % shards_.size());
-    nsm_qset_shard_[QsetKey(nsm_id, static_cast<uint8_t>(qs))] = shard;
+    reg.qset_shard[static_cast<size_t>(qs)] = shard;
     shards_[static_cast<size_t>(shard)]->AddNsmQset(nsm_id, static_cast<uint8_t>(qs));
   }
 }
 
 void CoreEngine::DeregisterVmDevice(uint8_t vm_id) {
-  auto vit = vms_.find(vm_id);
-  shm::NkDevice* dev = vit == vms_.end() ? nullptr : vit->second.dev;
-  for (auto& s : shards_) s->RemoveVm(vm_id, dev);
-  if (dev != nullptr) park_cursors_.erase(dev);
-  for (auto it = vm_qset_shard_.begin(); it != vm_qset_shard_.end();) {
-    it = (it->first >> 8) == vm_id ? vm_qset_shard_.erase(it) : std::next(it);
-  }
-  // The whole per-VM registry dies with the VM — DRR weight, token buckets,
-  // and every shard's deficit/cursor slot — so a re-registered VM id starts
-  // fresh instead of inheriting stale scheduler state.
-  if (vit != vms_.end()) vms_.erase(vit);
+  for (auto& s : shards_) s->RemoveVm(vm_id);
+  // The whole per-VM record dies with the VM — DRR weight, token buckets,
+  // placement and park cursor — so a re-registered VM id starts fresh
+  // instead of inheriting stale scheduler state.
+  vms_[vm_id] = {};
 }
 
 size_t CoreEngine::DeregisterNsmDevice(uint8_t nsm_id) {
-  shm::NkDevice* dev = FindNsm(nsm_id);
-  nsms_.erase(nsm_id);
-  nsm_health_.erase(nsm_id);
-  for (auto it = nsm_qset_shard_.begin(); it != nsm_qset_shard_.end();) {
-    it = (it->first >> 8) == nsm_id ? nsm_qset_shard_.erase(it) : std::next(it);
-  }
-  if (dev != nullptr) park_cursors_.erase(dev);
+  // Reset first: the shard teardown below must already see the NSM gone.
+  const bool was_registered = nsms_[nsm_id].dev != nullptr;
+  nsms_[nsm_id] = {};
   size_t errored_conns = 0;
-  for (auto& s : shards_) errored_conns += s->RemoveNsm(nsm_id, dev);
+  for (auto& s : shards_) errored_conns += s->RemoveNsm(nsm_id, was_registered);
   return errored_conns;
 }
 
 void CoreEngine::AssignVmToNsm(uint8_t vm_id, uint8_t nsm_id) {
-  auto it = vms_.find(vm_id);
-  NK_CHECK(it != vms_.end());
-  NK_CHECK(nsms_.count(nsm_id) != 0);
-  it->second.nsm_id = nsm_id;
-  it->second.has_nsm = true;
+  VmReg& reg = vms_[vm_id];
+  NK_CHECK(reg.dev != nullptr);
+  NK_CHECK(nsms_[nsm_id].dev != nullptr);
+  reg.nsm_id = nsm_id;
+  reg.has_nsm = true;
 }
 
 bool CoreEngine::AssignQueueSetToShard(uint8_t vm_id, uint8_t qset, int shard) {
   VmReg* reg = FindVm(vm_id);
-  if (reg == nullptr || reg->dev == nullptr) return false;
+  if (reg == nullptr) return false;
   if (shard < 0 || shard >= num_shards()) return false;
-  if (static_cast<int>(qset) >= reg->dev->num_queue_sets()) return false;
-  auto it = vm_qset_shard_.find(QsetKey(vm_id, qset));
-  if (it == vm_qset_shard_.end()) return false;
-  CoreEngineShard* from = shards_[static_cast<size_t>(it->second)].get();
+  if (qset >= reg->qset_shard.size()) return false;
+  CoreEngineShard* from = shards_[static_cast<size_t>(reg->qset_shard[qset])].get();
   CoreEngineShard* to = shards_[static_cast<size_t>(shard)].get();
   if (from == to) return true;
   if (from->in_flight_total_ > 0) {
@@ -233,87 +223,65 @@ std::string CoreEngine::DumpFlightRecorder(size_t last_k) const {
 }
 
 void CoreEngine::SetVmWeight(uint8_t vm_id, uint32_t weight) {
-  auto it = vms_.find(vm_id);
-  NK_CHECK(it != vms_.end());
+  NK_CHECK(vms_[vm_id].dev != nullptr);
   NK_CHECK(weight >= 1);
-  it->second.weight = weight;
+  vms_[vm_id].weight = weight;
 }
 
 uint32_t CoreEngine::VmWeight(uint8_t vm_id) const { return VmWeightOrDefault(vm_id); }
 
 void CoreEngine::SetVmByteRate(uint8_t vm_id, double bytes_per_sec, double burst_bytes) {
-  auto it = vms_.find(vm_id);
-  NK_CHECK(it != vms_.end());
-  it->second.byte_bucket = TokenBucket(bytes_per_sec, burst_bytes);
+  NK_CHECK(vms_[vm_id].dev != nullptr);
+  vms_[vm_id].byte_bucket = TokenBucket(bytes_per_sec, burst_bytes);
 }
 
 void CoreEngine::SetVmOpRate(uint8_t vm_id, double nqes_per_sec, double burst_nqes) {
-  auto it = vms_.find(vm_id);
-  NK_CHECK(it != vms_.end());
-  it->second.op_bucket = TokenBucket(nqes_per_sec, burst_nqes);
+  NK_CHECK(vms_[vm_id].dev != nullptr);
+  vms_[vm_id].op_bucket = TokenBucket(nqes_per_sec, burst_nqes);
 }
 
 void CoreEngine::NotifyVmOutbound(uint8_t vm_id, int qset) {
-  if (qset >= 0) {
-    auto it = vm_qset_shard_.find(QsetKey(vm_id, static_cast<uint8_t>(qset)));
-    if (it != vm_qset_shard_.end()) {
-      shards_[static_cast<size_t>(it->second)]->ScheduleRound();
-      return;
-    }
-  }
-  if (vms_.count(vm_id) != 0) {
-    for (auto& s : shards_) {
-      if (s->sched_.count(vm_id) != 0) s->ScheduleRound();
-    }
+  const VmReg& reg = vms_[vm_id];
+  if (qset >= 0 && static_cast<size_t>(qset) < reg.qset_shard.size()) {
+    shards_[static_cast<size_t>(reg.qset_shard[static_cast<size_t>(qset)])]->ScheduleRound();
     return;
   }
-  // Unknown VM: preserve the single-core semantics (a doorbell always spins
-  // the switch) so racing deregistrations cannot strand queued NQEs.
-  for (auto& s : shards_) s->ScheduleRound();
+  // An unknown VM spins every shard: that preserves the single-core
+  // semantics (a doorbell always spins the switch), so racing
+  // deregistrations cannot strand queued NQEs.
+  for (auto& s : shards_) {
+    if (reg.dev == nullptr || !s->sched_[vm_id].qsets.empty()) s->ScheduleRound();
+  }
 }
 
 void CoreEngine::NotifyNsmOutbound(uint8_t nsm_id, int qset) {
+  NsmReg& reg = nsms_[nsm_id];
   // A doorbell is proof of life: the NSM just produced NQEs, so refresh its
   // liveness stamp even if its heartbeat timer is starved by datapath work.
-  auto hit = nsm_health_.find(nsm_id);
-  if (hit != nsm_health_.end()) hit->second.last_activity = loop_->Now();
-  if (qset >= 0) {
-    auto it = nsm_qset_shard_.find(QsetKey(nsm_id, static_cast<uint8_t>(qset)));
-    if (it != nsm_qset_shard_.end()) {
-      shards_[static_cast<size_t>(it->second)]->ScheduleRound();
-      return;
-    }
-  }
-  if (nsms_.count(nsm_id) != 0) {
-    for (auto& s : shards_) {
-      if (s->nsm_qsets_.count(nsm_id) != 0) s->ScheduleRound();
-    }
+  if (reg.dev != nullptr) reg.last_activity = loop_->Now();
+  if (qset >= 0 && static_cast<size_t>(qset) < reg.qset_shard.size()) {
+    shards_[static_cast<size_t>(reg.qset_shard[static_cast<size_t>(qset)])]->ScheduleRound();
     return;
   }
-  for (auto& s : shards_) s->ScheduleRound();
+  for (auto& s : shards_) {
+    if (reg.dev == nullptr || !s->nsm_qsets_[nsm_id].empty()) s->ScheduleRound();
+  }
 }
 
 void CoreEngine::RecordNsmHeartbeat(uint8_t nsm_id) {
-  auto it = nsm_health_.find(nsm_id);
-  if (it == nsm_health_.end()) return;  // unknown / already deregistered
-  it->second.last_activity = loop_->Now();
-  ++it->second.heartbeats;
+  NsmReg& reg = nsms_[nsm_id];
+  if (reg.dev == nullptr) return;  // unknown / already deregistered
+  reg.last_activity = loop_->Now();
+  ++reg.heartbeats;
 }
 
-SimTime CoreEngine::NsmLastActivity(uint8_t nsm_id) const {
-  auto it = nsm_health_.find(nsm_id);
-  return it == nsm_health_.end() ? 0 : it->second.last_activity;
-}
+SimTime CoreEngine::NsmLastActivity(uint8_t nsm_id) const { return nsms_[nsm_id].last_activity; }
 
-uint64_t CoreEngine::NsmHeartbeats(uint8_t nsm_id) const {
-  auto it = nsm_health_.find(nsm_id);
-  return it == nsm_health_.end() ? 0 : it->second.heartbeats;
-}
+uint64_t CoreEngine::NsmHeartbeats(uint8_t nsm_id) const { return nsms_[nsm_id].heartbeats; }
 
 uint64_t CoreEngine::NsmBacklog(uint8_t nsm_id) const {
-  auto it = nsms_.find(nsm_id);
-  if (it == nsms_.end() || it->second == nullptr) return 0;
-  shm::NkDevice* dev = it->second;
+  shm::NkDevice* dev = nsms_[nsm_id].dev;
+  if (dev == nullptr) return 0;
   uint64_t total = 0;
   for (int qs = 0; qs < dev->num_queue_sets(); ++qs) {
     shm::QueueSet& q = dev->queue_set(static_cast<uint8_t>(qs));
@@ -335,17 +303,14 @@ CoreEngineStats CoreEngine::stats() const {
     agg.nqes_dropped += st.nqes_dropped;
     agg.deliveries_deferred += st.deliveries_deferred;
     agg.qset_migrations += st.qset_migrations;
-    for (const auto& [vm, pv] : st.per_vm) agg.per_vm[vm] += pv;
+    for (size_t vm = 0; vm < shm::kNumIds; ++vm) agg.per_vm[vm] += st.per_vm[vm];
   }
   return agg;
 }
 
 PerVmStats CoreEngine::VmStats(uint8_t vm_id) const {
   PerVmStats out;
-  for (const auto& s : shards_) {
-    auto it = s->stats_.per_vm.find(vm_id);
-    if (it != s->stats_.per_vm.end()) out += it->second;
-  }
+  for (const auto& s : shards_) out += s->stats_.per_vm[vm_id];
   return out;
 }
 
@@ -362,31 +327,31 @@ size_t CoreEngine::ParkedDeliveries() const {
 }
 
 int CoreEngine::ShardOfVmQset(uint8_t vm_id, uint8_t qset) const {
-  auto it = vm_qset_shard_.find(QsetKey(vm_id, qset));
-  return it == vm_qset_shard_.end() ? -1 : it->second;
+  const std::vector<int>& placement = vms_[vm_id].qset_shard;
+  return qset < placement.size() ? placement[qset] : -1;
 }
 
 int CoreEngine::ShardOfNsmQset(uint8_t nsm_id, uint8_t qset) const {
-  auto it = nsm_qset_shard_.find(QsetKey(nsm_id, qset));
-  return it == nsm_qset_shard_.end() ? -1 : it->second;
+  const std::vector<int>& placement = nsms_[nsm_id].qset_shard;
+  return qset < placement.size() ? placement[qset] : -1;
 }
 
 // ---------------------------------------------------------------------------
 // Cross-shard plumbing: weighted park drain, handoff.
 // ---------------------------------------------------------------------------
 
-size_t CoreEngine::DrainParked(shm::NkDevice* dev, std::vector<shm::NkDevice*>& to_wake) {
+size_t CoreEngine::DrainParked(uint16_t slot, std::vector<shm::NkDevice*>& to_wake) {
   const size_t n = shards_.size();
-  ParkCursor& pc = park_cursors_[dev];
+  ParkCursor& pc = slot < shm::kNumIds ? vms_[slot].park : nsms_[slot - shm::kNumIds].park;
   size_t delivered = 0;
-  size_t idle = 0;  // consecutive shards with nothing parked for `dev`
+  size_t idle = 0;  // consecutive shards with nothing parked for `slot`
   // The cursor + spent pair persists across sweeps, so the concatenated
   // delivery stream is exactly the weighted round-robin sequence no matter
   // where a full destination ring cut a sweep off.
   while (idle < n) {
     CoreEngineShard* s = shards_[pc.shard % n].get();
     uint8_t vm = 0;
-    if (!s->PeekParkedVm(dev, &vm)) {
+    if (!s->PeekParkedVm(slot, &vm)) {
       pc.shard = (pc.shard + 1) % n;
       pc.spent = 0;
       ++idle;
@@ -399,7 +364,7 @@ size_t CoreEngine::DrainParked(shm::NkDevice* dev, std::vector<shm::NkDevice*>& 
       pc.spent = 0;
       continue;
     }
-    if (!s->TryDeliverParkedFront(dev, to_wake)) break;  // ring full: resume here
+    if (!s->TryDeliverParkedFront(slot, to_wake)) break;  // ring full: resume here
     ++pc.spent;
     ++delivered;
     idle = 0;
@@ -414,7 +379,7 @@ void CoreEngine::MaybeRebalance(CoreEngineShard* victim) {
   if (victim->VmBacklog() < config_.steal_backlog) return;
   // Shedding the only owned queue set would just move the hotspot.
   size_t owned = 0;
-  for (const auto& [vm, vs] : victim->sched_) owned += vs.qsets.size();
+  for (uint8_t vm : victim->vm_rr_order_) owned += victim->sched_[vm].qsets.size();
   if (owned < 2) return;
   CoreEngineShard* thief = nullptr;
   for (auto& s : shards_) {
@@ -425,15 +390,16 @@ void CoreEngine::MaybeRebalance(CoreEngineShard* victim) {
     }
   }
   if (thief == nullptr) return;  // nobody idle: every core is already earning
+  // Most backlogged queue set; ties go to the lowest VM id.
   uint8_t best_vm = 0;
   uint8_t best_qs = 0;
   uint64_t best = 0;
-  for (const auto& [vm, vs] : victim->sched_) {
-    for (uint8_t qs : vs.qsets) {
-      uint64_t b = victim->VmQsetBacklog(vm, qs);
+  for (size_t vm = 0; vm < shm::kNumIds; ++vm) {
+    for (uint8_t qs : victim->sched_[vm].qsets) {
+      uint64_t b = victim->VmQsetBacklog(static_cast<uint8_t>(vm), qs);
       if (b > best) {
         best = b;
-        best_vm = vm;
+        best_vm = static_cast<uint8_t>(vm);
         best_qs = qs;
       }
     }
@@ -447,9 +413,7 @@ void CoreEngine::MigrateVmQset(uint8_t vm_id, uint8_t qset, CoreEngineShard* fro
                                CoreEngineShard* to) {
   if (from == to) return;
   if (ShardOfVmQset(vm_id, qset) != from->index_) return;  // ownership drifted
-  VmReg* reg = FindVm(vm_id);
-  if (reg == nullptr) return;
-  vm_qset_shard_[QsetKey(vm_id, qset)] = to->index_;
+  vms_[vm_id].qset_shard[qset] = to->index_;
   from->RemoveVmQset(vm_id, qset);
   to->AddVmQset(vm_id, qset);
   // Table entries routed through the queue set travel with it.
@@ -469,25 +433,20 @@ void CoreEngine::MigrateVmQset(uint8_t vm_id, uint8_t qset, CoreEngineShard* fro
   // put: they are produced by the shard polling the connection's NSM queue
   // set, which does not move here — keeping them under that producer's park
   // preserves per-connection receive order.
-  for (auto pit = from->parked_.begin(); pit != from->parked_.end();) {
-    std::deque<CoreEngineShard::Delivery>& dq = pit->second;
+  for (uint16_t slot = shm::kNumIds; slot < CoreEngineShard::kNumSlots; ++slot) {
+    if (from->ParkedFor(slot) == 0) continue;
+    std::deque<CoreEngineShard::Delivery>& dq = *from->parked_[slot];
     std::deque<CoreEngineShard::Delivery> keep;
     for (CoreEngineShard::Delivery& d : dq) {
-      bool moves = !d.toward_vm && d.nqe.vm_id == vm_id && d.nqe.queue_set == qset;
-      if (moves) {
-        to->parked_[pit->first].push_back(std::move(d));
+      if (d.nqe.vm_id == vm_id && d.nqe.queue_set == qset) {
+        to->ParkFifo(slot).push_back(std::move(d));
         ++to->parked_total_;
         --from->parked_total_;
       } else {
         keep.push_back(std::move(d));
       }
     }
-    if (keep.empty()) {
-      pit = from->parked_.erase(pit);
-    } else {
-      pit->second = std::move(keep);
-      ++pit;
-    }
+    dq = std::move(keep);
   }
   ++from->stats_.qset_migrations;
   from->recorder_.Record(obs::FlightEventType::kQsetMigration, vm_id, qset, 0, 0,
@@ -515,15 +474,14 @@ void CoreEngineShard::AddVmQset(uint8_t vm_id, uint8_t qset) {
 }
 
 void CoreEngineShard::RemoveVmQset(uint8_t vm_id, uint8_t qset) {
-  auto it = sched_.find(vm_id);
-  if (it == sched_.end()) return;
-  VmSched& vs = it->second;
+  VmSched& vs = sched_[vm_id];
+  if (vs.qsets.empty()) return;
   vs.qsets.erase(std::remove(vs.qsets.begin(), vs.qsets.end(), qset), vs.qsets.end());
   if (!vs.qsets.empty()) {
     vs.cursor %= static_cast<int>(vs.qsets.size());
     return;
   }
-  sched_.erase(it);
+  vs = {};
   vm_rr_order_.erase(std::remove(vm_rr_order_.begin(), vm_rr_order_.end(), vm_id),
                      vm_rr_order_.end());
   if (vm_rr_cursor_ >= vm_rr_order_.size()) vm_rr_cursor_ = 0;
@@ -535,14 +493,14 @@ void CoreEngineShard::AddNsmQset(uint8_t nsm_id, uint8_t qset) {
   owned.push_back(qset);
 }
 
-void CoreEngineShard::RemoveVm(uint8_t vm_id, shm::NkDevice* dev) {
+void CoreEngineShard::RemoveVm(uint8_t vm_id) {
   // Parked deliveries to the dead device would dangle; the VM is gone, so
   // there is no guest to return completions to — count and discard.
-  if (dev != nullptr) PurgePark(dev, /*synthesize_errors=*/false);
+  PurgePark(VmSlot(vm_id), /*synthesize_errors=*/false);
   for (auto it = socket_table_.begin(); it != socket_table_.end();) {
     it = (it->first >> 32) == vm_id ? socket_table_.erase(it) : std::next(it);
   }
-  sched_.erase(vm_id);
+  sched_[vm_id] = {};
   vm_rr_order_.erase(std::remove(vm_rr_order_.begin(), vm_rr_order_.end(), vm_id),
                      vm_rr_order_.end());
   if (vm_rr_cursor_ >= vm_rr_order_.size()) vm_rr_cursor_ = 0;
@@ -552,17 +510,17 @@ void CoreEngineShard::RemoveVm(uint8_t vm_id, shm::NkDevice* dev) {
       pending_handoffs_.end());
 }
 
-size_t CoreEngineShard::RemoveNsm(uint8_t nsm_id, shm::NkDevice* dev) {
-  if (nsm_qsets_.count(nsm_id) != 0 || dev != nullptr) {
+size_t CoreEngineShard::RemoveNsm(uint8_t nsm_id, bool was_registered) {
+  if (!nsm_qsets_[nsm_id].empty() || was_registered) {
     recorder_.Record(obs::FlightEventType::kNsmDeregister, 0, 0, 0, 0, nsm_id);
   }
-  nsm_qsets_.erase(nsm_id);
+  nsm_qsets_[nsm_id] = {};
   nsm_rr_order_.erase(std::remove(nsm_rr_order_.begin(), nsm_rr_order_.end(), nsm_id),
                       nsm_rr_order_.end());
   if (nsm_rr_cursor_ >= nsm_rr_order_.size()) nsm_rr_cursor_ = 0;
   // VM->NSM deliveries parked for the dead device will never land: return
   // error completions so guest send credits and hugepage chunks are released.
-  if (dev != nullptr) PurgePark(dev, /*synthesize_errors=*/true);
+  PurgePark(NsmSlot(nsm_id), /*synthesize_errors=*/true);
 
   // Table entries pointing at the dead NSM must not linger. Established
   // connections died with their stack — tell each guest with an error FIN so
@@ -579,12 +537,12 @@ size_t CoreEngineShard::RemoveNsm(uint8_t nsm_id, shm::NkDevice* dev) {
     uint8_t vm_id = static_cast<uint8_t>(it->first >> 32);
     uint32_t vm_sock = static_cast<uint32_t>(it->first);
     CoreEngine::VmReg* reg = engine_->FindVm(vm_id);
-    if (!e.dgram && reg != nullptr && reg->dev != nullptr) {
+    if (!e.dgram && reg != nullptr) {
       Delivery d;
       d.dst = reg->dev;
+      d.slot = VmSlot(vm_id);
       d.qset = e.vm_qset < d.dst->num_queue_sets() ? e.vm_qset : 0;
       d.ring = shm::RingKind::kReceive;
-      d.toward_vm = true;
       d.nqe = MakeNqe(NqeOp::kFinReceived, vm_id, e.vm_qset, vm_sock, 0, 0,
                       static_cast<uint32_t>(kCeNetUnreach));
       PlanDelivery(d, fins);
@@ -597,7 +555,7 @@ size_t CoreEngineShard::RemoveNsm(uint8_t nsm_id, shm::NkDevice* dev) {
 
 uint64_t CoreEngineShard::VmQsetBacklog(uint8_t vm_id, uint8_t qset) const {
   CoreEngine::VmReg* reg = engine_->FindVm(vm_id);
-  if (reg == nullptr || reg->dev == nullptr) return 0;
+  if (reg == nullptr) return 0;
   if (static_cast<int>(qset) >= reg->dev->num_queue_sets()) return 0;
   shm::QueueSet& q = reg->dev->queue_set(qset);
   return q.job.Size() + q.send.Size();
@@ -605,8 +563,8 @@ uint64_t CoreEngineShard::VmQsetBacklog(uint8_t vm_id, uint8_t qset) const {
 
 uint64_t CoreEngineShard::VmBacklog() const {
   uint64_t total = 0;
-  for (const auto& [vm_id, vs] : sched_) {
-    for (uint8_t qs : vs.qsets) total += VmQsetBacklog(vm_id, qs);
+  for (uint8_t vm_id : vm_rr_order_) {
+    for (uint8_t qs : sched_[vm_id].qsets) total += VmQsetBacklog(vm_id, qs);
   }
   return total;
 }
@@ -641,7 +599,7 @@ uint64_t CoreEngineShard::PollVm(uint8_t vm_id, VmSched& vs, uint64_t limit,
                                  std::vector<Delivery>& plan, Cycles& cost, SimTime* retry_at,
                                  bool* send_blocked, bool* job_blocked) {
   CoreEngine::VmReg* reg = engine_->FindVm(vm_id);
-  if (reg == nullptr || reg->dev == nullptr || vs.qsets.empty()) return 0;
+  if (reg == nullptr || vs.qsets.empty()) return 0;
   uint64_t taken = 0;
   Nqe nqe;
   const int nqs = static_cast<int>(vs.qsets.size());
@@ -720,11 +678,11 @@ uint64_t CoreEngineShard::PollVm(uint8_t vm_id, VmSched& vs, uint64_t limit,
 
 uint8_t CoreEngineShard::ChooseNsmQset(uint8_t nsm_id, const shm::NkDevice* ndev,
                                        uint64_t key) const {
-  auto it = nsm_qsets_.find(nsm_id);
-  if (it != nsm_qsets_.end() && !it->second.empty()) {
+  const std::vector<uint8_t>& owned = nsm_qsets_[nsm_id];
+  if (!owned.empty()) {
     // Shard-aligned placement: the response path comes back on a queue set
     // this shard polls, so the connection's state stays single-writer.
-    return it->second[CoreEngine::HashSpread(key, it->second.size())];
+    return owned[CoreEngine::HashSpread(key, owned.size())];
   }
   // This shard owns none of that NSM's queue sets (fewer sets than shards):
   // spread globally; the shard polling the chosen set routes the responses.
@@ -823,9 +781,10 @@ bool CoreEngineShard::RouteVmNqe(const Nqe& nqe, bool from_send_ring,
       // deregistered, or the guest already closed it). Forward statelessly,
       // re-homing the flow: the NSM side owns the hugepage accounting and
       // must see the NQE to release its payload.
-      if (Backpressured(ndev)) return false;
+      if (Backpressured(NsmSlot(reg->nsm_id))) return false;
       Delivery d;
       d.dst = ndev;
+      d.slot = NsmSlot(reg->nsm_id);
       d.qset = ChooseNsmQset(reg->nsm_id, ndev, key);
       d.ring = from_send_ring ? shm::RingKind::kSend : shm::RingKind::kJob;
       d.nqe = nqe;
@@ -857,10 +816,11 @@ bool CoreEngineShard::RouteVmNqe(const Nqe& nqe, bool from_send_ring,
   // Backpressure: the NSM's pending queue is at the bound, so the NQE stays
   // in the guest ring. (The token already spent on it is kept — conservative
   // policing, same as the byte-bucket path above.)
-  if (Backpressured(ndev)) return false;
+  if (Backpressured(NsmSlot(entry.nsm_id))) return false;
 
   Delivery d;
   d.dst = ndev;
+  d.slot = NsmSlot(entry.nsm_id);
   d.qset = entry.nsm_qset;
   d.ring = from_send_ring ? shm::RingKind::kSend : shm::RingKind::kJob;
   d.nqe = nqe;
@@ -882,7 +842,7 @@ bool CoreEngineShard::RouteNsmNqe(const Nqe& nqe, std::vector<Delivery>& plan) {
     return true;  // consume it
   }
   CoreEngine::VmReg* reg = engine_->FindVm(nqe.vm_id);
-  if (reg == nullptr || reg->dev == nullptr) {
+  if (reg == nullptr) {
     // VM gone: nothing to deliver to, but the loss must still be visible.
     ++stats_.nqes_dropped;
     ++stats_.per_vm[nqe.vm_id].dropped;
@@ -891,18 +851,18 @@ bool CoreEngineShard::RouteNsmNqe(const Nqe& nqe, std::vector<Delivery>& plan) {
   // Backpressure toward the NSM: the VM device's pending queue is at the
   // bound, so the NQE stays in the NSM ring (kRecvData chunks and their
   // receive credits are never lost to switch overload).
-  if (Backpressured(reg->dev)) return false;
+  if (Backpressured(VmSlot(nqe.vm_id))) return false;
 
   auto op = nqe.Op();
   Delivery d;
   d.dst = reg->dev;
+  d.slot = VmSlot(nqe.vm_id);
   d.qset = nqe.queue_set;
   if (d.qset >= reg->dev->num_queue_sets()) d.qset = 0;
   d.ring = (op == NqeOp::kRecvData || op == NqeOp::kFinReceived ||
             op == NqeOp::kDgramRecv || op == NqeOp::kDgramRecvZc)
                ? shm::RingKind::kReceive
                : shm::RingKind::kCompletion;
-  d.toward_vm = true;
   d.nqe = nqe;
   PlanDelivery(d, plan);
   if (validator.enabled() &&
@@ -983,7 +943,7 @@ bool CoreEngineShard::BuildErrorCompletion(const Nqe& orig, Delivery* out) {
   // leaves completion_op untouched: fall out harmlessly, no completion.
   if (completion_op == NqeOp::kInvalid) return false;
   CoreEngine::VmReg* reg = engine_->FindVm(orig.vm_id);
-  if (reg == nullptr || reg->dev == nullptr) return false;
+  if (reg == nullptr) return false;
 
   // The completion mirrors a real NSM response: result code in `size`
   // (negative errno, as ServiceLib::Respond encodes it), the original op in
@@ -999,9 +959,9 @@ bool CoreEngineShard::BuildErrorCompletion(const Nqe& orig, Delivery* out) {
   }
 
   out->dst = reg->dev;
+  out->slot = VmSlot(orig.vm_id);
   out->qset = orig.queue_set < out->dst->num_queue_sets() ? orig.queue_set : 0;
   out->ring = shm::RingKind::kCompletion;
-  out->toward_vm = true;
   out->nqe = resp;
   return true;
 }
@@ -1017,17 +977,12 @@ bool CoreEngineShard::FailVmNqe(const Nqe& orig, std::vector<Delivery>& plan) {
   return true;
 }
 
-bool CoreEngineShard::Backpressured(shm::NkDevice* dev) const {
-  size_t outstanding = 0;
-  auto pit = parked_.find(dev);
-  if (pit != parked_.end()) outstanding += pit->second.size();
-  auto fit = in_flight_.find(dev);
-  if (fit != in_flight_.end()) outstanding += fit->second;
-  return outstanding >= engine_->config_.pending_bound;
+bool CoreEngineShard::Backpressured(uint16_t slot) const {
+  return ParkedFor(slot) + in_flight_[slot] >= engine_->config_.pending_bound;
 }
 
 void CoreEngineShard::PlanDelivery(const Delivery& d, std::vector<Delivery>& plan) {
-  ++in_flight_[d.dst];
+  ++in_flight_[d.slot];
   ++in_flight_total_;
   plan.push_back(d);
 }
@@ -1192,16 +1147,21 @@ void CoreEngineShard::DropDelivery(const Delivery& d, std::vector<Delivery>& err
   ++stats_.nqes_dropped;
   ++stats_.per_vm[d.nqe.vm_id].dropped;
   recorder_.Record(obs::FlightEventType::kDrop, d.nqe.vm_id, d.nqe.queue_set, d.nqe.op,
-                   d.nqe.vm_sock, d.toward_vm ? 1 : 0);
-  if (d.toward_vm) return;  // nothing to unwind guest-side from here
+                   d.nqe.vm_sock, d.toward_vm() ? 1 : 0);
+  if (d.toward_vm()) return;  // nothing to unwind guest-side from here
   // A VM->NSM NQE died inside the switch: the guest still holds its state
   // (send credit, hugepage chunk, a thread waiting on the control op).
   Delivery err;
   if (BuildErrorCompletion(d.nqe, &err)) errors.push_back(err);
 }
 
+std::deque<CoreEngineShard::Delivery>& CoreEngineShard::ParkFifo(uint16_t slot) {
+  if (!parked_[slot]) parked_[slot] = std::make_unique<std::deque<Delivery>>();
+  return *parked_[slot];
+}
+
 void CoreEngineShard::ParkOrDrop(const Delivery& d, std::vector<Delivery>& errors) {
-  std::deque<Delivery>& dq = parked_[d.dst];
+  std::deque<Delivery>& dq = ParkFifo(d.slot);
   if (dq.size() >= engine_->config_.pending_bound) {
     DropDelivery(d, errors);
     return;
@@ -1214,21 +1174,19 @@ void CoreEngineShard::ParkOrDrop(const Delivery& d, std::vector<Delivery>& error
                    d.nqe.vm_sock, dq.size());
 }
 
-bool CoreEngineShard::PeekParkedVm(shm::NkDevice* dev, uint8_t* vm_id) const {
-  auto it = parked_.find(dev);
-  if (it == parked_.end() || it->second.empty()) return false;
-  *vm_id = it->second.front().nqe.vm_id;
+bool CoreEngineShard::PeekParkedVm(uint16_t slot, uint8_t* vm_id) const {
+  if (ParkedFor(slot) == 0) return false;
+  *vm_id = parked_[slot]->front().nqe.vm_id;
   return true;
 }
 
-bool CoreEngineShard::TryDeliverParkedFront(shm::NkDevice* dev,
+bool CoreEngineShard::TryDeliverParkedFront(uint16_t slot,
                                             std::vector<shm::NkDevice*>& to_wake) {
-  auto it = parked_.find(dev);
-  if (it == parked_.end() || it->second.empty()) return false;
-  if (!TryDeliver(it->second.front(), to_wake)) return false;
-  it->second.pop_front();
+  if (ParkedFor(slot) == 0) return false;
+  std::deque<Delivery>& dq = *parked_[slot];
+  if (!TryDeliver(dq.front(), to_wake)) return false;
+  dq.pop_front();
   --parked_total_;
-  if (it->second.empty()) parked_.erase(it);
   return true;
 }
 
@@ -1238,12 +1196,11 @@ size_t CoreEngineShard::DeliverPlan(const std::vector<Delivery>& plan) {
   // Every caller counts its entries through PlanDelivery (rounds and
   // deregistration FINs) or manually (PurgePark's synthesized errors), so
   // the decrement is exact — the in_flight_total_ == 0 handoff gate relies
-  // on that. The map lookup stays defensive against future uncounted plans.
+  // on that. The zero check stays defensive against future uncounted plans.
   for (const Delivery& d : plan) {
-    auto it = in_flight_.find(d.dst);
-    if (it != in_flight_.end()) {
+    if (in_flight_[d.slot] > 0) {
+      --in_flight_[d.slot];
       --in_flight_total_;
-      if (--it->second == 0) in_flight_.erase(it);
     }
   }
 
@@ -1253,19 +1210,19 @@ size_t CoreEngineShard::DeliverPlan(const std::vector<Delivery>& plan) {
   // Parked deliveries go first: they are older than anything in the plan,
   // and draining them FIFO preserves per-ring NQE order across stalls. The
   // drain goes through the facade so a destination contended by several
-  // shards is shared by VM weight, not by whoever retries first.
-  std::vector<shm::NkDevice*> devs;
-  devs.reserve(parked_.size());
-  for (const auto& [dev, dq] : parked_) devs.push_back(dev);
-  for (shm::NkDevice* dev : devs) delivered += engine_->DrainParked(dev, to_wake);
+  // shards is shared by VM weight, not by whoever retries first. Slots drain
+  // in ascending order.
+  if (parked_total_ > 0) {
+    for (uint16_t slot = 0; slot < kNumSlots; ++slot) {
+      if (ParkedFor(slot) > 0) delivered += engine_->DrainParked(slot, to_wake);
+    }
+  }
 
   std::vector<Delivery> errors;
   for (const Delivery& d : plan) {
     // Anything already parked for this device must stay ahead of d, or the
     // destination would observe reordered NQEs.
-    auto pit = parked_.find(d.dst);
-    bool behind_park = pit != parked_.end() && !pit->second.empty();
-    if (!behind_park && TryDeliver(d, to_wake)) {
+    if (ParkedFor(d.slot) == 0 && TryDeliver(d, to_wake)) {
       ++delivered;
       continue;
     }
@@ -1276,13 +1233,11 @@ size_t CoreEngineShard::DeliverPlan(const std::vector<Delivery>& plan) {
   // bound: each one exists because an NQE was already dropped, so their
   // count is bounded by the drops themselves.
   for (const Delivery& e : errors) {
-    auto pit = parked_.find(e.dst);
-    bool behind_park = pit != parked_.end() && !pit->second.empty();
-    if (!behind_park && TryDeliver(e, to_wake)) {
+    if (ParkedFor(e.slot) == 0 && TryDeliver(e, to_wake)) {
       ++delivered;
       continue;
     }
-    parked_[e.dst].push_back(e);
+    ParkFifo(e.slot).push_back(e);
     ++parked_total_;
     ++stats_.deliveries_deferred;
     ++stats_.per_vm[e.nqe.vm_id].deferred;
@@ -1305,20 +1260,19 @@ void CoreEngineShard::ArmParkRetry() {
   });
 }
 
-void CoreEngineShard::PurgePark(shm::NkDevice* dev, bool synthesize_errors) {
-  auto it = parked_.find(dev);
-  if (it == parked_.end()) return;
+void CoreEngineShard::PurgePark(uint16_t slot, bool synthesize_errors) {
+  if (ParkedFor(slot) == 0) return;
   std::vector<Delivery> errors;
-  for (const Delivery& d : it->second) {
+  for (const Delivery& d : *parked_[slot]) {
     --parked_total_;
     DropDelivery(d, errors);
   }
-  parked_.erase(it);
+  parked_[slot]->clear();
   if (synthesize_errors && !errors.empty()) {
     // Balance DeliverPlan's in-flight decrement for these synthesized
     // completions so concurrent rounds' counts stay exact.
     for (const Delivery& e : errors) {
-      ++in_flight_[e.dst];
+      ++in_flight_[e.slot];
       ++in_flight_total_;
     }
     DeliverPlan(errors);

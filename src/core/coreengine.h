@@ -53,10 +53,22 @@
 // facade. The facade arbitrates contended destinations by draining the
 // per-shard parked FIFOs in weighted round-robin, so DRR weights keep their
 // meaning even when competing VMs live on different shards.
+//
+// Every piece of per-VM and per-NSM state is indexed by the one-byte id the
+// NQE already carries (Fig 3), never hashed. The facade keeps one VmReg and
+// one NsmReg record per id: the device, the queue set -> shard placement, the
+// park-drain cursor, and for VMs the NSM assignment, DRR weight and token
+// buckets, for NSMs the liveness stamp. A record whose device is null is
+// unregistered, so deregistration resets exactly one record. Each shard keeps
+// its DRR state, owned NSM queue sets and per-VM stats in id-indexed arrays,
+// and parks deliveries per destination slot (the VM id, or kNumIds + the NSM
+// id). The park drain visits slots in ascending order, so which destination
+// retries first never depends on heap addresses.
 
 #ifndef SRC_CORE_COREENGINE_H_
 #define SRC_CORE_COREENGINE_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -190,7 +202,7 @@ struct CoreEngineStats {
   uint64_t nqes_dropped = 0;         // every drop, anywhere in the switch
   uint64_t deliveries_deferred = 0;  // parked on a full destination ring
   uint64_t qset_migrations = 0;      // queue sets handed off between shards
-  std::unordered_map<uint8_t, PerVmStats> per_vm;
+  std::array<PerVmStats, shm::kNumIds> per_vm{};  // indexed by VM id
 };
 
 class CoreEngine;
@@ -239,21 +251,30 @@ class CoreEngineShard {
     // the whole deficit and starve the VM's other owned queue sets.
     int cursor = 0;
   };
+  // Destination slots: a VM device is slot vm_id, an NSM device is slot
+  // kNumIds + nsm_id, so per-destination state is one array.
+  static constexpr size_t kNumSlots = 2 * shm::kNumIds;
+  static uint16_t VmSlot(uint8_t vm_id) { return vm_id; }
+  static uint16_t NsmSlot(uint8_t nsm_id) {
+    return static_cast<uint16_t>(shm::kNumIds + nsm_id);
+  }
   struct Delivery {
     shm::NkDevice* dst = nullptr;
+    uint16_t slot = 0;  // dst's destination slot
     int qset = 0;
     shm::RingKind ring = shm::RingKind::kJob;
-    bool toward_vm = false;  // NSM->VM (or CE-synthesized completion)
     shm::Nqe nqe;
+    // NSM->VM (or CE-synthesized completion).
+    bool toward_vm() const { return slot < shm::kNumIds; }
   };
 
   void AddVmQset(uint8_t vm_id, uint8_t qset);
   void RemoveVmQset(uint8_t vm_id, uint8_t qset);
   void AddNsmQset(uint8_t nsm_id, uint8_t qset);
   // Deregistration teardown of everything this shard holds for the device.
-  void RemoveVm(uint8_t vm_id, shm::NkDevice* dev);
+  void RemoveVm(uint8_t vm_id);
   // Returns how many established stream connections were errored with FINs.
-  size_t RemoveNsm(uint8_t nsm_id, shm::NkDevice* dev);
+  size_t RemoveNsm(uint8_t nsm_id, bool was_registered);
   // Executes queue-set handoffs that were requested while a delivery plan
   // was in flight (runs at the round boundary, when in_flight_total_ == 0).
   void ExecutePendingHandoffs();
@@ -296,11 +317,11 @@ class CoreEngineShard {
   // chunk), append the error completion to `plan`. Always returns true so
   // routing callers can `return FailVmNqe(...)` to consume the NQE.
   bool FailVmNqe(const shm::Nqe& orig, std::vector<Delivery>& plan);
-  // True when `dev`'s outstanding deliveries (parked + planned-but-not-yet-
-  // delivered) are at this shard's bound: routing toward it must defer at
-  // the source ring (backpressure) instead of planning a delivery that would
-  // be dropped.
-  bool Backpressured(shm::NkDevice* dev) const;
+  // True when the outstanding deliveries (parked + planned-but-not-yet-
+  // delivered) toward destination `slot` are at this shard's bound: routing
+  // toward it must defer at the source ring (backpressure) instead of
+  // planning a delivery that would be dropped.
+  bool Backpressured(uint16_t slot) const;
   // Appends `d` to the round's plan, counting it outstanding for its
   // destination until the delivery phase processes it.
   void PlanDelivery(const Delivery& d, std::vector<Delivery>& plan);
@@ -315,11 +336,15 @@ class CoreEngineShard {
   bool TryDeliver(const Delivery& d, std::vector<shm::NkDevice*>& to_wake);
   void ParkOrDrop(const Delivery& d, std::vector<Delivery>& errors);
   void DropDelivery(const Delivery& d, std::vector<Delivery>& errors);
+  // Deliveries parked toward `slot` (0 if none).
+  size_t ParkedFor(uint16_t slot) const { return parked_[slot] ? parked_[slot]->size() : 0; }
+  // The FIFO for `slot`, created on its first park and kept afterwards.
+  std::deque<Delivery>& ParkFifo(uint16_t slot);
   // Facade hooks for the cross-shard weighted park drain.
-  bool PeekParkedVm(shm::NkDevice* dev, uint8_t* vm_id) const;
-  bool TryDeliverParkedFront(shm::NkDevice* dev, std::vector<shm::NkDevice*>& to_wake);
+  bool PeekParkedVm(uint16_t slot, uint8_t* vm_id) const;
+  bool TryDeliverParkedFront(uint16_t slot, std::vector<shm::NkDevice*>& to_wake);
   // Discards parked deliveries destined for a deregistering device.
-  void PurgePark(shm::NkDevice* dev, bool synthesize_errors);
+  void PurgePark(uint16_t slot, bool synthesize_errors);
   void ArmParkRetry();
 
   CoreEngine* engine_;
@@ -327,9 +352,9 @@ class CoreEngineShard {
   sim::CpuCore* core_;
 
   std::vector<uint8_t> vm_rr_order_;  // VMs with owned queue sets, DRR order
-  std::unordered_map<uint8_t, VmSched> sched_;
+  std::array<VmSched, shm::kNumIds> sched_;  // by VM id; empty qsets = none owned
   std::vector<uint8_t> nsm_rr_order_;
-  std::unordered_map<uint8_t, std::vector<uint8_t>> nsm_qsets_;  // owned sets
+  std::array<std::vector<uint8_t>, shm::kNumIds> nsm_qsets_;  // owned sets, by NSM id
   size_t vm_rr_cursor_ = 0;  // rotated every round: who gets polled first
   size_t nsm_rr_cursor_ = 0;
 
@@ -341,13 +366,16 @@ class CoreEngineShard {
   sim::EventHandle retry_timer_;
   sim::EventHandle park_timer_;
   // Backpressure: deliveries that found their destination ring full, FIFO
-  // per device, bounded by config.pending_bound (a per-shard quota; the
-  // facade drains competing shards' FIFOs for one device by VM weight).
-  std::unordered_map<shm::NkDevice*, std::deque<Delivery>> parked_;
+  // per destination slot, bounded by config.pending_bound (a per-shard quota;
+  // the facade drains competing shards' FIFOs for one device by VM weight).
+  // A FIFO is allocated on its slot's first park: a deque allocates even
+  // when empty, and most slots never park.
+  std::array<std::unique_ptr<std::deque<Delivery>>, kNumSlots> parked_;
   size_t parked_total_ = 0;
   // Deliveries planned this/earlier rounds whose delivery phase has not run
-  // yet; counted against the pending bound so a round cannot overshoot it.
-  std::unordered_map<shm::NkDevice*, size_t> in_flight_;
+  // yet, per destination slot; counted against the pending bound so a round
+  // cannot overshoot it.
+  std::array<uint32_t, kNumSlots> in_flight_{};
   size_t in_flight_total_ = 0;
   uint64_t rounds_since_rebalance_ = 0;
   // Explicit handoffs (AssignQueueSetToShard) requested mid-round; executed
@@ -362,9 +390,9 @@ class CoreEngineShard {
   obs::FlightRecorder recorder_;
 };
 
-// The N-shard switch facade. Owns the shards, the registries shared across
-// them (devices, VM->NSM assignment, weights, token buckets), the queue-set
-// placement maps, and the control plane. The public surface is unchanged
+// The N-shard switch facade. Owns the shards, the per-id VM and NSM records
+// shared across them (devices, VM->NSM assignment, weights, token buckets,
+// queue-set placement, NSM liveness), and the control plane. The public surface is unchanged
 // from the single-core switch; with one shard the datapath is byte-for-byte
 // the old single-core behavior.
 class CoreEngine {
@@ -468,17 +496,6 @@ class CoreEngine {
  private:
   friend class CoreEngineShard;
 
-  // Engine-wide per-VM registry, shared by all shards (read-mostly; the
-  // token buckets are the one piece of cross-shard mutable state, matching
-  // the per-VM policers a real multi-core switch shares via atomics).
-  struct VmReg {
-    shm::NkDevice* dev = nullptr;
-    uint8_t nsm_id = 0;
-    bool has_nsm = false;
-    TokenBucket byte_bucket;
-    TokenBucket op_bucket;
-    uint32_t weight = 1;
-  };
   // Weighted cross-shard park drain: continuation state per destination, so
   // the delivery stream interleaves shards exactly by VM weight no matter
   // where a sweep was cut off by a full ring.
@@ -486,11 +503,29 @@ class CoreEngine {
     size_t shard = 0;     // global shard index being visited
     uint64_t spent = 0;   // deliveries taken from it in the current visit
   };
-  // Per-NSM liveness record, created at registration, erased at
-  // deregistration. last_activity is refreshed by heartbeats and doorbells.
-  struct NsmHealth {
+  // Engine-wide per-VM record, shared by all shards (read-mostly; the token
+  // buckets are the one piece of cross-shard mutable state, matching the
+  // per-VM policers a real multi-core switch shares via atomics). Null dev =
+  // unregistered; deregistration resets the whole record, so a re-registered
+  // id starts with a fresh weight, buckets and placement.
+  struct VmReg {
+    shm::NkDevice* dev = nullptr;
+    uint8_t nsm_id = 0;
+    bool has_nsm = false;
+    TokenBucket byte_bucket;
+    TokenBucket op_bucket;
+    uint32_t weight = 1;
+    std::vector<int> qset_shard;  // queue set -> owning shard
+    ParkCursor park;
+  };
+  // Per-NSM record. last_activity is refreshed by registration, heartbeats
+  // and doorbells.
+  struct NsmReg {
+    shm::NkDevice* dev = nullptr;
     SimTime last_activity = 0;
     uint64_t heartbeats = 0;
+    std::vector<int> qset_shard;  // queue set -> owning shard
+    ParkCursor park;
   };
 
   static uint64_t SocketKey(uint8_t vm_id, uint32_t vm_sock) {
@@ -504,23 +539,15 @@ class CoreEngine {
     return static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL >> 32) % n);
   }
 
-  VmReg* FindVm(uint8_t vm_id) {
-    auto it = vms_.find(vm_id);
-    return it == vms_.end() ? nullptr : &it->second;
-  }
-  shm::NkDevice* FindNsm(uint8_t nsm_id) {
-    auto it = nsms_.find(nsm_id);
-    return it == nsms_.end() ? nullptr : it->second;
-  }
-  uint32_t VmWeightOrDefault(uint8_t vm_id) const {
-    auto it = vms_.find(vm_id);
-    return it == vms_.end() ? 1 : it->second.weight;
-  }
+  VmReg* FindVm(uint8_t vm_id) { return vms_[vm_id].dev ? &vms_[vm_id] : nullptr; }
+  shm::NkDevice* FindNsm(uint8_t nsm_id) { return nsms_[nsm_id].dev; }
+  // An unregistered record holds the default weight 1.
+  uint32_t VmWeightOrDefault(uint8_t vm_id) const { return vms_[vm_id].weight; }
 
-  // Drains every shard's parked FIFO for `dev`. With one holder this is the
-  // plain FIFO retry; with several, entries are taken in weighted round-robin
-  // by the front NQE's VM so DRR weights hold across shards.
-  size_t DrainParked(shm::NkDevice* dev, std::vector<shm::NkDevice*>& to_wake);
+  // Drains every shard's parked FIFO for destination `slot`. With one holder
+  // this is the plain FIFO retry; with several, entries are taken in weighted
+  // round-robin by the front NQE's VM so DRR weights hold across shards.
+  size_t DrainParked(uint16_t slot, std::vector<shm::NkDevice*>& to_wake);
 
   // Work-stealing rebalance, called by `victim` at its round boundary (its
   // delivery plan has just landed, so the handoff is conservation-safe).
@@ -535,13 +562,8 @@ class CoreEngine {
   std::function<void(uint8_t)> quarantine_cb_;
   obs::Tracer* tracer_ = nullptr;
   std::vector<std::unique_ptr<CoreEngineShard>> shards_;
-  std::unordered_map<uint8_t, VmReg> vms_;
-  std::unordered_map<uint8_t, shm::NkDevice*> nsms_;
-  // Queue-set placement: QsetKey(vm/nsm, qset) -> shard index.
-  std::unordered_map<uint16_t, int> vm_qset_shard_;
-  std::unordered_map<uint16_t, int> nsm_qset_shard_;
-  std::unordered_map<shm::NkDevice*, ParkCursor> park_cursors_;
-  std::unordered_map<uint8_t, NsmHealth> nsm_health_;
+  std::array<VmReg, shm::kNumIds> vms_;    // by VM id
+  std::array<NsmReg, shm::kNumIds> nsms_;  // by NSM id
 };
 
 }  // namespace netkernel::core

@@ -476,10 +476,10 @@ void Host::RunFailoverCheck() {
     const SimTime last = ce_->NsmLastActivity(nsm->id());
     if (last == 0) continue;  // not registered (already failed over)
     if (now <= last + window) {
-      hb_misses_[nsm->id()] = 0;
+      nsm->hb_misses_ = 0;
       continue;
     }
-    const int misses = ++hb_misses_[nsm->id()];
+    const int misses = ++nsm->hb_misses_;
     ++failover_stats_.heartbeat_misses;
     failover_recorder_->Record(obs::FlightEventType::kHeartbeatMiss, 0, 0,
                                static_cast<uint8_t>(shm::NqeOp::kHeartbeat), 0,
@@ -524,7 +524,7 @@ size_t Host::FailoverNsm(Nsm* sick) {
   blackout_us_.Record(blackout_us);
   failover_recorder_->Record(obs::FlightEventType::kNsmFailover, 0, 0,
                              static_cast<uint8_t>(shm::NqeOp::kHeartbeat), 0, blackout_us);
-  hb_misses_.erase(sick->id());
+  sick->hb_misses_ = 0;
   return rehomed;
 }
 
@@ -561,69 +561,43 @@ void Host::QuarantineVm(Vm* vm) {
   // until an un-quarantine, and a send-family NQE parked there pins a live
   // hugepage chunk. Each carried chunk unwinds like a CE error completion
   // (unconsumed flag, credit in op_data) so the still-running GuestLib frees
-  // it and reclaims the send credit; if the completion ring is full the chunk
-  // goes straight back to the pool and only the credit pairing relaxes.
-  for (int qs = 0; qs < vm->dev_->num_queue_sets(); ++qs) {
+  // it and reclaims the send credit. Every NSM the VM ever attached to then
+  // evicts its state (in-flight chunks return to the VM's pool, which the VM
+  // keeps through the quarantine) and hands back the send completions the
+  // guest is still owed; the switch no longer routes toward this VM, so they
+  // land on its completion rings directly. If a completion ring is full, a
+  // carried chunk goes straight back to the pool and only the credit
+  // pairing relaxes.
+  const int nqs = vm->dev_->num_queue_sets();
+  auto complete = [&](const shm::Nqe& resp) {
+    const uint8_t qs = resp.queue_set < nqs ? resp.queue_set : 0;
+    if (vm->dev_->queue_set(qs).completion.TryEnqueue(resp)) return;
+    if (resp.reserved[1] == shm::kNqeFlagChunkUnconsumed &&
+        vm->pool_->IsAllocated(resp.data_ptr)) {
+      vm->pool_->Free(resp.data_ptr);
+    }
+  };
+  for (int qs = 0; qs < nqs; ++qs) {
     shm::QueueSet& q = vm->dev_->queue_set(qs);
     shm::Nqe nqe;
-    auto sweep = [&](shm::SpscRing<shm::Nqe>& ring) {
-      while (ring.TryDequeue(&nqe)) {
-        shm::NqeOp comp = shm::NqeOp::kInvalid;
-        switch (nqe.Op()) {
-          case shm::NqeOp::kSend: comp = shm::NqeOp::kSendResult; break;
-          case shm::NqeOp::kSendZc: comp = shm::NqeOp::kSendZcComplete; break;
-          case shm::NqeOp::kSendTo:
-          case shm::NqeOp::kSendToZc: comp = shm::NqeOp::kSendToResult; break;
-          case shm::NqeOp::kInvalid:
-          case shm::NqeOp::kSocket:
-          case shm::NqeOp::kBind:
-          case shm::NqeOp::kListen:
-          case shm::NqeOp::kConnect:
-          case shm::NqeOp::kAccept:
-          case shm::NqeOp::kSetsockopt:
-          case shm::NqeOp::kGetsockopt:
-          case shm::NqeOp::kIoctl:
-          case shm::NqeOp::kShutdown:
-          case shm::NqeOp::kClose:
-          case shm::NqeOp::kSocketUdp:
-          case shm::NqeOp::kBindUdp:
-          case shm::NqeOp::kRecvFrom:
-          case shm::NqeOp::kOpResult:
-          case shm::NqeOp::kConnectResult:
-          case shm::NqeOp::kAcceptedConn:
-          case shm::NqeOp::kSendResult:
-          case shm::NqeOp::kRecvData:
-          case shm::NqeOp::kFinReceived:
-          case shm::NqeOp::kSendToResult:
-          case shm::NqeOp::kDgramRecv:
-          case shm::NqeOp::kSendZcComplete:
-          case shm::NqeOp::kDgramRecvZc:
-          case shm::NqeOp::kNsmRehomed:
-          case shm::NqeOp::kRegisterDevice:
-          case shm::NqeOp::kDeregisterDevice:
-          case shm::NqeOp::kHeartbeat:
-            break;  // no chunk pinned: drains valueless
-        }
-        // Non-enumerator bytes off the hostile ring match no case and drain
-        // valueless too.
-        if (comp == shm::NqeOp::kInvalid) continue;
-        if (!vm->pool_->IsAllocated(nqe.data_ptr)) continue;
-        shm::Nqe resp = shm::MakeNqe(comp, vm_id, nqe.queue_set, nqe.vm_sock);
-        resp.size = static_cast<uint32_t>(kCeNetUnreach);
+    for (shm::SpscRing<shm::Nqe>* ring : {&q.send, &q.job}) {
+      while (ring->TryDequeue(&nqe)) {
+        // Non-send ops, and bytes off the hostile ring that name no op or no
+        // live chunk, drain valueless.
+        const shm::NqeOp done = guard::ReclaimOp(nqe.Op());
+        if (done == shm::NqeOp::kInvalid || !vm->pool_->IsAllocated(nqe.data_ptr)) continue;
+        shm::Nqe resp = shm::MakeNqe(done, vm_id, static_cast<uint8_t>(qs), nqe.vm_sock, nqe.size,
+                                     nqe.data_ptr, static_cast<uint32_t>(kCeNetUnreach));
         resp.reserved[0] = nqe.op;
         resp.reserved[1] = shm::kNqeFlagChunkUnconsumed;
-        resp.op_data = nqe.size;  // send credit to return
-        resp.data_ptr = nqe.data_ptr;
-        if (!q.completion.TryEnqueue(resp)) vm->pool_->Free(nqe.data_ptr);
+        complete(resp);
       }
-    };
-    sweep(q.send);
-    sweep(q.job);
+    }
+  }
+  for (Nsm* n : vm->attached_nsms_) {
+    for (const shm::Nqe& owed : n->service_->EvictVm(vm_id)) complete(owed);
   }
   vm->dev_->Wake();
-  // Every NSM the VM ever attached to evicts its state; in-flight chunks
-  // return to the VM's pool, which the VM keeps through the quarantine.
-  for (Nsm* n : vm->attached_nsms_) n->service_->EvictVm(vm_id);
   failover_recorder_->Record(obs::FlightEventType::kVmQuarantined, vm_id, 0, 0, 0,
                              ce_->validator().VmStats(vm_id).rejects);
 }

@@ -7,6 +7,7 @@
 #ifndef SRC_CORE_HOST_H_
 #define SRC_CORE_HOST_H_
 
+#include <array>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -64,8 +65,7 @@ class Nsm {
 
   // FairShare NSM: the VM-level shared window group (null otherwise).
   std::shared_ptr<tcp::SharedWindowGroup> shared_window_group(uint8_t vm_id) {
-    auto it = groups_.find(vm_id);
-    return it == groups_.end() ? nullptr : it->second;
+    return groups_[vm_id];
   }
 
  private:
@@ -80,8 +80,10 @@ class Nsm {
   std::unique_ptr<NsmService> service_;
   netsim::Nic* vnic_ = nullptr;
   netsim::Link* down_link_ = nullptr;  // null for the stackless shm NSM
-  // FairShare NSM: one shared window group per VM.
-  std::unordered_map<uint8_t, std::shared_ptr<tcp::SharedWindowGroup>> groups_;
+  // FairShare NSM: one shared window group per VM id.
+  std::array<std::shared_ptr<tcp::SharedWindowGroup>, shm::kNumIds> groups_;
+  // Failover controller: consecutive liveness checks this NSM missed.
+  int hb_misses_ = 0;
 };
 
 // A guest VM, in NetKernel mode (GuestLib + NSM) or Baseline mode (own stack).
@@ -309,7 +311,6 @@ class Host {
   FailoverStats failover_stats_;
   obs::Histogram blackout_us_;
   sim::EventHandle failover_timer_;
-  std::unordered_map<uint8_t, int> hb_misses_;
   std::unique_ptr<obs::FlightRecorder> failover_recorder_;
   static uint32_t next_ip_suffix_;
 };

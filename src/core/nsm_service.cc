@@ -19,6 +19,10 @@ uint64_t VmKey(uint8_t vm_id, uint32_t vm_sock) {
   return (static_cast<uint64_t>(vm_id) << 32) | vm_sock;
 }
 
+bool IsSendCompletion(NqeOp op) {
+  return op == NqeOp::kSendResult || op == NqeOp::kSendZcComplete || op == NqeOp::kSendToResult;
+}
+
 }  // namespace
 
 NsmService::NsmService(sim::EventLoop* loop, uint8_t nsm_id, CoreEngine* ce, shm::NkDevice* dev,
@@ -36,6 +40,7 @@ NsmService::NsmService(sim::EventLoop* loop, uint8_t nsm_id, CoreEngine* ce, shm
 }
 
 void NsmService::AttachVm(uint8_t vm_id, shm::HugepagePool* pool, netsim::IpAddr vm_ip) {
+  NK_CHECK(pool != nullptr);
   vms_[vm_id] = VmInfo{pool, vm_ip, false};
 }
 
@@ -62,14 +67,13 @@ void NsmService::OnUnknownSocket(const Nqe& nqe) {
     orphan_sends_[VmKey(nqe.vm_id, nqe.vm_sock)].push_back(nqe);
   }
   if (nqe.Op() == NqeOp::kSendTo || nqe.Op() == NqeOp::kSendToZc) {
-    auto vit = vms_.find(nqe.vm_id);
-    if (vit != vms_.end()) vit->second.pool->Free(nqe.data_ptr);
+    if (shm::HugepagePool* pool = vms_[nqe.vm_id].pool) pool->Free(nqe.data_ptr);
   }
   if (nqe.Op() == NqeOp::kClose) {
     // The accept-link rides the job ring ahead of the close, so sends still
     // parked for a socket closing unknown belong to state an eviction or
     // shutdown already tore down: their link will never come.
-    for (const Nqe& orphan : TakeOrphans(nqe.vm_id, nqe.vm_sock)) FreeNqeChunk(orphan);
+    for (const Nqe& orphan : TakeOrphans(nqe.vm_id, nqe.vm_sock)) FailOrphan(orphan);
   }
 }
 
@@ -81,15 +85,20 @@ std::vector<Nqe> NsmService::TakeOrphans(uint8_t vm_id, uint32_t vm_sock) {
   return orphans;
 }
 
+void NsmService::FailOrphan(const Nqe& send) {
+  FreeNqeChunk(send);
+  Respond(ReplyTo(send), guard::ReclaimOp(send.Op()), send.Op(), kCeNetUnreach, send.size);
+}
+
 void NsmService::FreeNqeChunk(const Nqe& nqe) {
   const NqeOp op = nqe.Op();
   if (op != NqeOp::kSend && op != NqeOp::kSendZc && op != NqeOp::kSendTo &&
       op != NqeOp::kSendToZc) {
     return;
   }
-  auto vit = vms_.find(nqe.vm_id);
-  if (vit != vms_.end() && vit->second.pool->IsAllocated(nqe.data_ptr)) {
-    vit->second.pool->Free(nqe.data_ptr);
+  shm::HugepagePool* pool = vms_[nqe.vm_id].pool;
+  if (pool != nullptr && pool->IsAllocated(nqe.data_ptr)) {
+    pool->Free(nqe.data_ptr);
     recorder_.Record(obs::FlightEventType::kShutdownDrain, nqe.vm_id, nqe.queue_set, nqe.op,
                      nqe.vm_sock, nqe.size);
   }
@@ -245,8 +254,7 @@ void NsmService::Admit(const Nqe& nqe) {
   }
   // An evicted VM's in-flight stragglers unwind their payload chunks into
   // its still-reachable pool instead of dispatching against torn-down state.
-  auto vit = vms_.find(nqe.vm_id);
-  if (vit != vms_.end() && vit->second.evicted) {
+  if (vms_[nqe.vm_id].evicted) {
     ++guard_drops_;
     FreeNqeChunk(nqe);
     return;
@@ -266,7 +274,7 @@ size_t NsmService::ReleaseVm(uint8_t vm_id, VmInfo& vm) {
   // Orphan sends parked for an accept-link that will never arrive.
   for (auto it = orphan_sends_.begin(); it != orphan_sends_.end();) {
     if (static_cast<uint8_t>(it->first >> 32) == vm_id) {
-      for (const Nqe& orphan : it->second) FreeNqeChunk(orphan);
+      for (const Nqe& orphan : it->second) FailOrphan(orphan);
       it = orphan_sends_.erase(it);
     } else {
       ++it;
@@ -276,18 +284,13 @@ size_t NsmService::ReleaseVm(uint8_t vm_id, VmInfo& vm) {
   return torn;
 }
 
-void NsmService::SweepRings(const std::function<bool(const Nqe&)>& match) {
+std::vector<Nqe> NsmService::SweepRings(const std::function<bool(const Nqe&)>& match) {
   // VM->NSM rings may hold sends whose chunks the guest already handed over;
   // NSM->VM rings may hold receive data shipped toward a guest that will
-  // never see it. Either way the chunk's owner of record is this NSM. The
-  // single-threaded DES makes the consumer-side drain-and-refill safe, and a
-  // full drain guarantees the re-enqueues fit.
-  const auto free_landed = [this](const Nqe& n) {
-    auto vit = vms_.find(n.vm_id);
-    if (vit != vms_.end() && vit->second.pool->IsAllocated(n.data_ptr)) {
-      vit->second.pool->Free(n.data_ptr);
-    }
-  };
+  // never see it, and send completions it is still owed. The single-threaded
+  // DES makes the consumer-side drain-and-refill safe, and a full drain
+  // guarantees the re-enqueues fit.
+  std::vector<Nqe> owed;
   Nqe nqe;
   std::vector<Nqe> keep;
   const auto sweep = [&](shm::SpscRing<Nqe>& ring, const auto& reclaim) {
@@ -301,37 +304,49 @@ void NsmService::SweepRings(const std::function<bool(const Nqe&)>& match) {
     }
     for (const Nqe& k : keep) NK_CHECK(ring.TryEnqueue(k));
   };
+  // A swept send frees its chunk here and owes its guest the send credit.
+  const auto fail_send = [&](const Nqe& n) {
+    FreeNqeChunk(n);
+    const NqeOp done = guard::ReclaimOp(n.Op());
+    if (done == NqeOp::kInvalid) return;
+    owed.push_back(MakeNqe(done, n.vm_id, n.queue_set, n.vm_sock, n.size, 0,
+                           static_cast<uint32_t>(kCeNetUnreach)));
+    owed.back().reserved[0] = n.op;
+  };
   for (int qs = 0; qs < dev_->num_queue_sets(); ++qs) {
     shm::QueueSet& q = dev_->queue_set(qs);
-    const auto free_send = [this](const Nqe& n) { FreeNqeChunk(n); };
-    sweep(q.send, free_send);
-    sweep(q.job, free_send);
+    sweep(q.send, fail_send);
+    sweep(q.job, fail_send);
     sweep(q.receive, [&](const Nqe& n) {
-      if (n.Op() == NqeOp::kRecvData || n.Op() == NqeOp::kDgramRecv ||
-          n.Op() == NqeOp::kDgramRecvZc) {
-        free_landed(n);
+      shm::HugepagePool* pool = vms_[n.vm_id].pool;
+      if ((n.Op() == NqeOp::kRecvData || n.Op() == NqeOp::kDgramRecv ||
+           n.Op() == NqeOp::kDgramRecvZc) &&
+          pool != nullptr && pool->IsAllocated(n.data_ptr)) {
+        pool->Free(n.data_ptr);
       }
     });
+    // NSM-produced completions never carry a chunk.
     sweep(q.completion, [&](const Nqe& n) {
-      // A completion still carrying its (unconsumed) chunk owns it.
-      if (n.reserved[1] == shm::kNqeFlagChunkUnconsumed) free_landed(n);
+      if (IsSendCompletion(n.Op())) owed.push_back(n);
     });
   }
+  return owed;
 }
 
-void NsmService::EvictVm(uint8_t vm_id) {
-  auto vit = vms_.find(vm_id);
-  if (vit == vms_.end() || vit->second.evicted) return;
-  ReleaseVm(vm_id, vit->second);
-  SweepRings([vm_id](const Nqe& n) { return n.vm_id == vm_id; });
+std::vector<Nqe> NsmService::EvictVm(uint8_t vm_id) {
+  VmInfo& vm = vms_[vm_id];
+  if (vm.pool == nullptr || vm.evicted) return {};
+  ReleaseVm(vm_id, vm);
+  return SweepRings([vm_id](const Nqe& n) { return n.vm_id == vm_id; });
 }
 
 void NsmService::Shutdown() {
   if (shutdown_) return;
   shutdown_ = true;
   StopHeartbeat();
-  for (auto& [vm_id, vm] : vms_) {
-    if (!vm.evicted) ReleaseVm(vm_id, vm);
+  for (size_t vm_id = 0; vm_id < shm::kNumIds; ++vm_id) {
+    VmInfo& vm = vms_[vm_id];
+    if (vm.pool != nullptr && !vm.evicted) ReleaseVm(static_cast<uint8_t>(vm_id), vm);
   }
   SweepRings([](const Nqe&) { return true; });
   orphan_sends_.clear();

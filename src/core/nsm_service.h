@@ -22,6 +22,7 @@
 #ifndef SRC_CORE_NSM_SERVICE_H_
 #define SRC_CORE_NSM_SERVICE_H_
 
+#include <array>
 #include <functional>
 #include <unordered_map>
 #include <vector>
@@ -57,7 +58,13 @@ class NsmService {
   // kept (marked evicted) so stragglers already charged to a core unwind
   // their chunks into the pool instead of leaking; a later AttachVm
   // reinstates the VM cleanly.
-  void EvictVm(uint8_t vm_id);
+  //
+  // Returns the send completions the guest is still owed: those the
+  // teardown produced (zero-copy chunks freed by the abort) or found queued
+  // toward the VM, plus error completions for sends swept out of the
+  // inbound rings. The switch no longer routes toward an evicted VM, so the
+  // caller delivers them on the guest's own device.
+  std::vector<shm::Nqe> EvictVm(uint8_t vm_id);
 
   // Kills this NSM with recoverable accounting: call after the device was
   // deregistered from CoreEngine. Runs the EvictVm teardown for every
@@ -120,6 +127,7 @@ class NsmService {
     uint32_t vm_sock = 0;
     uint8_t nsm_qset = 0;
   };
+  // One per VM id; a null pool means the VM never attached.
   struct VmInfo {
     shm::HugepagePool* pool = nullptr;
     netsim::IpAddr ip = 0;
@@ -154,7 +162,7 @@ class NsmService {
   // TakeOrphans. A datagram send whose socket already closed (a kClose
   // overtook it through the job ring) is lost — UDP loses datagrams — but
   // its payload chunk goes back to the pool. A close of an unknown socket
-  // frees the sends parked for it.
+  // fails the sends parked for it.
   void OnUnknownSocket(const shm::Nqe& nqe);
   std::vector<shm::Nqe> TakeOrphans(uint8_t vm_id, uint32_t vm_sock);
   // Returns the payload chunk of a send-family NQE to the owning VM's pool
@@ -169,7 +177,7 @@ class NsmService {
 
   sim::EventLoop* loop_;
   std::vector<sim::CpuCore*> cores_;
-  std::unordered_map<uint8_t, VmInfo> vms_;
+  std::array<VmInfo, shm::kNumIds> vms_{};
   obs::FlightRecorder recorder_;
 
  private:
@@ -181,9 +189,14 @@ class NsmService {
   void ScheduleHeartbeat();
   // Marks the VM evicted, tears down its transport state and orphan sends.
   size_t ReleaseVm(uint8_t vm_id, VmInfo& vm);
-  // Drains every device ring, reclaiming the chunks of NQEs `match` selects
-  // and re-enqueueing the rest in order.
-  void SweepRings(const std::function<bool(const shm::Nqe&)>& match);
+  // A parked orphan send whose accept-link will never come: its chunk goes
+  // back to the pool and its send credit back to the guest, error status.
+  void FailOrphan(const shm::Nqe& send);
+  // Drains every device ring, re-enqueueing in order the NQEs `match` does
+  // not select. Selected sends and received data free their chunks; the
+  // send completions the guest is owed (queued ones, and an error
+  // completion per swept send) are returned.
+  std::vector<shm::Nqe> SweepRings(const std::function<bool(const shm::Nqe&)>& match);
 
   uint8_t nsm_id_;
   CoreEngine* ce_;

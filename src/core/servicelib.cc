@@ -57,12 +57,11 @@ void ServiceLib::AttachVm(uint8_t vm_id, shm::HugepagePool* pool, netsim::IpAddr
   info.rx_allocator->alloc = [this, alive = alive_, vm_id](uint32_t size, uint64_t* handle,
                                                            uint8_t** data, uint32_t* cap) {
     if (!*alive) return false;
-    auto it = vms_.find(vm_id);
     // An evicted (quarantined) VM must not grow its footprint: refusing the
     // alloc makes the stack fall back to its own buffering, and the eviction
     // sweep has already reclaimed what the pool held.
-    if (it == vms_.end() || it->second.evicted) return false;
-    shm::HugepagePool* p = it->second.pool;
+    if (vms_[vm_id].evicted) return false;
+    shm::HugepagePool* p = vms_[vm_id].pool;
     uint32_t want = std::min<uint32_t>(size > 0 ? size : 1, shm::HugepagePool::kMaxChunk);
     uint64_t off = p->Alloc(want);
     if (off == shm::HugepagePool::kInvalidOffset) return false;
@@ -73,16 +72,14 @@ void ServiceLib::AttachVm(uint8_t vm_id, shm::HugepagePool* pool, netsim::IpAddr
   };
   info.rx_allocator->free = [this, alive = alive_, vm_id](uint64_t handle) {
     if (!*alive) return;
-    auto it = vms_.find(vm_id);
-    if (it != vms_.end()) it->second.pool->Free(handle);
+    vms_[vm_id].pool->Free(handle);
   };
   vm_stacks_[vm_id] = std::move(info);
 }
 
 void ServiceLib::SetVmCcFactory(uint8_t vm_id, tcp::CcFactory factory) {
-  auto it = vm_stacks_.find(vm_id);
-  NK_CHECK(it != vm_stacks_.end());
-  it->second.cc_factory = std::move(factory);
+  NK_CHECK(vms_[vm_id].pool != nullptr);
+  vm_stacks_[vm_id].cc_factory = std::move(factory);
 }
 
 ServiceLib::Conn* ServiceLib::Find(Kind kind, uint32_t sid) {
@@ -214,8 +211,8 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
 }
 
 void ServiceLib::DoSocket(const Nqe& nqe) {
-  auto vit = vms_.find(nqe.vm_id);
-  if (vit == vms_.end()) return;
+  const VmInfo& vm = vms_[nqe.vm_id];
+  if (vm.pool == nullptr) return;
   const VmStack& vs = vm_stacks_[nqe.vm_id];
   // Sockets of this VM use the VM's address (the NSM's vNIC answers for
   // every address of the VMs it serves), and with RX zero-copy their inbound
@@ -227,7 +224,7 @@ void ServiceLib::DoSocket(const Nqe& nqe) {
     if (vs.cc_factory) stack_->SetCongestionControl(sid, vs.cc_factory());
     // Listeners pass the allocator on to accepted children inside the stack.
     if (config_.rx_zerocopy) stack_->SetRxChunkAllocator(sid, vs.rx_allocator);
-    stack_->Bind(sid, vit->second.ip, 0);
+    stack_->Bind(sid, vm.ip, 0);
   } else {
     if (udp_stack_ == nullptr) {
       Respond(ReplyTo(nqe), NqeOp::kOpResult, NqeOp::kSocketUdp, udp::kBadSocket);
@@ -235,7 +232,7 @@ void ServiceLib::DoSocket(const Nqe& nqe) {
     }
     sid = udp_stack_->CreateSocket();
     // The ephemeral port bound now gives an unbound sendto a routable source.
-    udp_stack_->Bind(sid, vit->second.ip, 0);
+    udp_stack_->Bind(sid, vm.ip, 0);
     if (config_.rx_zerocopy) udp_stack_->SetRxChunkAllocator(sid, vs.rx_allocator);
     udp::UdpSocketCallbacks cbs;
     cbs.on_readable = [this, sid] { ShipDgrams(sid); };
@@ -249,9 +246,8 @@ void ServiceLib::DoSocket(const Nqe& nqe) {
 }
 
 void ServiceLib::DoBind(const Nqe& nqe, Conn& c) {
-  auto vit = vms_.find(c.vm_id);
-  if (vit == vms_.end()) return;
-  const netsim::IpAddr ip = vit->second.ip;
+  if (vms_[c.vm_id].pool == nullptr) return;
+  const netsim::IpAddr ip = vms_[c.vm_id].ip;
   const uint16_t port = shm::AddrPort(nqe.op_data);
   int r = c.kind == Kind::kStream ? stack_->Bind(c.sid, ip, port)
                                    : udp_stack_->Bind(c.sid, ip, port);
@@ -300,9 +296,8 @@ void ServiceLib::AutoAccept(tcp::SocketId listener_sid) {
     if (cid == tcp::kInvalidSocket) break;
     Conn& c = NewConn(Kind::kStream, cid, l->vm_id, l->vm_qset, 0);
     c.nsm_qset = l->nsm_qset;
-    auto vit = vm_stacks_.find(l->vm_id);
-    if (vit != vm_stacks_.end() && vit->second.cc_factory) {
-      stack_->SetCongestionControl(cid, vit->second.cc_factory());
+    if (const tcp::CcFactory& cc = vm_stacks_[l->vm_id].cc_factory) {
+      stack_->SetCongestionControl(cid, cc());
     }
     // Tell GuestLib about the new connection; the NSM socket id rides in
     // op_data and the guest answers with a kAccept link NQE (Fig 6).
@@ -366,9 +361,8 @@ void ServiceLib::InstallDataCallbacks(Conn& c) {
 // order with copies still in flight there. Either way the chunk joins the
 // pending-transmit queue, whose drain unwinds it per kind if the socket died.
 void ServiceLib::DoSend(const Nqe& nqe, Conn& c) {
-  auto vit = vms_.find(c.vm_id);
-  if (vit == vms_.end()) return;
-  shm::HugepagePool* pool = vit->second.pool;
+  shm::HugepagePool* pool = vms_[c.vm_id].pool;
+  if (pool == nullptr) return;
   tcp::SocketId sid = c.sid;
   uint64_t ptr = nqe.data_ptr;
   uint32_t size = nqe.size;
@@ -402,9 +396,7 @@ std::function<void()> ServiceLib::MakeZcFreeCallback(const Conn& c, NqeOp done, 
   // through vms_.
   return [this, alive = alive_, to = NsmSocket(c), done, orig, ptr, size] {
     if (!*alive) return;
-    auto vit = vms_.find(to.vm_id);
-    if (vit == vms_.end()) return;  // VM detached; its pool may be gone too
-    vit->second.pool->Free(ptr);
+    vms_[to.vm_id].pool->Free(ptr);
     recorder_.Record(obs::FlightEventType::kZcChunkFree, to.vm_id, to.vm_qset,
                      static_cast<uint8_t>(orig), to.vm_sock, size);
     // Return the send credit. Status 0 covers both outcomes — on a stream
@@ -417,8 +409,7 @@ std::function<void()> ServiceLib::MakeZcFreeCallback(const Conn& c, NqeOp done, 
 }
 
 void ServiceLib::FailZcTx(const Conn& c, uint64_t ptr, uint32_t size) {
-  auto vit = vms_.find(c.vm_id);
-  if (vit != vms_.end()) vit->second.pool->Free(ptr);
+  if (shm::HugepagePool* pool = vms_[c.vm_id].pool) pool->Free(ptr);
   Nqe nqe = MakeNqe(NqeOp::kSendZcComplete, c.vm_id, c.vm_qset, c.vm_sock, size, 0,
                     static_cast<uint32_t>(tcp::kConnReset));
   nqe.reserved[0] = static_cast<uint8_t>(NqeOp::kSendZc);
@@ -426,9 +417,8 @@ void ServiceLib::FailZcTx(const Conn& c, uint64_t ptr, uint32_t size) {
 }
 
 void ServiceLib::DrainPendingTx(Conn& c) {
-  auto vit = vms_.find(c.vm_id);
-  if (vit == vms_.end()) return;
-  shm::HugepagePool* pool = vit->second.pool;
+  shm::HugepagePool* pool = vms_[c.vm_id].pool;
+  if (pool == nullptr) return;
   while (!c.pending_tx.empty()) {
     PendingTx& tx = c.pending_tx.front();
     if (!stack_->Exists(c.sid)) {
@@ -479,9 +469,8 @@ void ServiceLib::DrainPendingTx(Conn& c) {
 void ServiceLib::ShipRecv(tcp::SocketId sid) {
   Conn* c = Find(Kind::kStream, sid);
   if (c == nullptr || !c->linked || c->ship_pending) return;
-  auto vit = vms_.find(c->vm_id);
-  if (vit == vms_.end()) return;
-  shm::HugepagePool* pool = vit->second.pool;
+  shm::HugepagePool* pool = vms_[c->vm_id].pool;
+  if (pool == nullptr) return;
 
   uint64_t avail = stack_->RecvAvailable(sid);
   if (avail > 0 && c->rx_outstanding < config_.rx_outstanding_cap) {
@@ -601,9 +590,8 @@ void ServiceLib::OnRecvCredit(uint8_t vm_id, uint32_t vm_sock, uint32_t bytes) {
 // parks data: the credit returns as soon as the datagram is handed over, or
 // — zero-copy — once the stack committed it to the wire.
 void ServiceLib::DoSendTo(const Nqe& nqe, Conn& c) {
-  auto vit = vms_.find(c.vm_id);
-  if (vit == vms_.end()) return;
-  shm::HugepagePool* pool = vit->second.pool;
+  shm::HugepagePool* pool = vms_[c.vm_id].pool;
+  if (pool == nullptr) return;
   udp::SocketId sid = c.sid;
   uint64_t ptr = nqe.data_ptr;
   uint32_t size = nqe.size;
@@ -680,9 +668,8 @@ void ServiceLib::ShipDgrams(udp::SocketId sid) {
     MaybeFinishClose(Kind::kDgram, sid);
     return;
   }
-  auto vit = vms_.find(c->vm_id);
-  if (vit == vms_.end()) return;
-  shm::HugepagePool* pool = vit->second.pool;
+  shm::HugepagePool* pool = vms_[c->vm_id].pool;
+  if (pool == nullptr) return;
 
   uint32_t next = udp_stack_->NextDatagramSize(sid);
   if (udp_stack_->RxQueuedDatagrams(sid) == 0 || c->rx_outstanding >= config_.rx_outstanding_cap) {
@@ -774,12 +761,19 @@ size_t ServiceLib::ReleaseVmState(uint8_t vm_id, shm::HugepagePool* pool) {
     auto it = conns_.find(key);
     if (it == conns_.end()) continue;
     Conn& c = *it->second;
-    // Queued-but-unadmitted TX chunks free here. Abort tears a stream down
+    // Queued-but-unadmitted TX chunks free here, a zero-copy one with its
+    // completion like any other failed zc send. Abort tears a stream down
     // synchronously: zc chunks still in its send buffer fire their
     // exactly-once free callbacks, and pool-backed receive chunks free on
     // rcvbuf destruction; UdpStack::Close frees pool-landed queued datagrams
     // through the rx allocator's free hook.
-    for (const PendingTx& tx : c.pending_tx) pool->Free(tx.ptr);
+    for (const PendingTx& tx : c.pending_tx) {
+      if (tx.zc) {
+        FailZcTx(c, tx.ptr, tx.size);
+      } else {
+        pool->Free(tx.ptr);
+      }
+    }
     c.pending_tx.clear();
     if (c.kind == Kind::kDgram) {
       udp_stack_->Close(c.sid);

@@ -26,6 +26,7 @@
 #ifndef SRC_CORE_SERVICELIB_H_
 #define SRC_CORE_SERVICELIB_H_
 
+#include <array>
 #include <deque>
 #include <memory>
 #include <unordered_map>
@@ -74,7 +75,7 @@ class ServiceLib : public NsmService {
   uint64_t dgram_copy_ships() const { return dgram_copy_ships_; }
 
  private:
-  // Per-VM stack plumbing, reset by every AttachVm.
+  // Per-VM stack plumbing, one per VM id, reset by every AttachVm.
   struct VmStack {
     tcp::CcFactory cc_factory;  // optional override
     // Chunk allocator handed to the stacks so inbound bytes land directly in
@@ -158,7 +159,7 @@ class ServiceLib : public NsmService {
   udp::UdpStack* udp_stack_;
   Config config_;
 
-  std::unordered_map<uint8_t, VmStack> vm_stacks_;
+  std::array<VmStack, shm::kNumIds> vm_stacks_;
   std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;  // owner, by Key()
   uint64_t rx_zc_ships_ = 0;
   uint64_t rx_copy_ships_ = 0;

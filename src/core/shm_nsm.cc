@@ -139,10 +139,8 @@ void ShmServiceLib::Dispatch(const Nqe& nqe) {
     case NqeOp::kSendToZc: {
       // No datagram transport here (kSocketUdp fails), so a stray datagram
       // send cannot be delivered — but its payload chunk must not strand.
-      auto vit = vms_.find(ep->vm_id);
-      if (vit != vms_.end() && vit->second.pool->IsAllocated(nqe.data_ptr)) {
-        vit->second.pool->Free(nqe.data_ptr);
-      }
+      shm::HugepagePool* pool = vms_[ep->vm_id].pool;
+      if (pool != nullptr && pool->IsAllocated(nqe.data_ptr)) pool->Free(nqe.data_ptr);
       Respond(*ep, NqeOp::kOpResult, nqe.Op(), udp::kBadSocket);
       return;
     }
@@ -223,11 +221,9 @@ void ShmServiceLib::PumpCopy(uint64_t src_ep_id) {
   if (dst == nullptr || !dst->linked) return;
   if (dst->rx_outstanding >= kRxOutstandingCap) return;  // credit wait
 
-  auto svit = vms_.find(src->vm_id);
-  auto dvit = vms_.find(dst->vm_id);
-  if (svit == vms_.end() || dvit == vms_.end()) return;
-  shm::HugepagePool* spool = svit->second.pool;
-  shm::HugepagePool* dpool = dvit->second.pool;
+  shm::HugepagePool* spool = vms_[src->vm_id].pool;
+  shm::HugepagePool* dpool = vms_[dst->vm_id].pool;
+  if (spool == nullptr || dpool == nullptr) return;
 
   PendingChunk chunk = src->pending.front();
   uint64_t doff = dpool->Alloc(chunk.size);

@@ -145,6 +145,13 @@ bool IsNsmToGuestOp(NqeOp op) {
 
 bool CarriesGuestChunk(NqeOp op) { return IsSendRingOp(op); }
 
+NqeOp ReclaimOp(NqeOp op) {
+  if (op == NqeOp::kSend) return NqeOp::kSendResult;
+  if (op == NqeOp::kSendZc) return NqeOp::kSendZcComplete;
+  if (op == NqeOp::kSendTo || op == NqeOp::kSendToZc) return NqeOp::kSendToResult;
+  return NqeOp::kInvalid;
+}
+
 // ------------------------------------------------------------------------
 
 NqeValidator::NqeValidator(const GuardConfig& config) : config_(config) {}

@@ -119,6 +119,9 @@ bool IsGuestToNsmOp(shm::NqeOp op);
 bool IsNsmToGuestOp(shm::NqeOp op);
 // carries-chunk guest->nsm ops (chunk ownership crosses with the NQE).
 bool CarriesGuestChunk(shm::NqeOp op);
+// reclaim=: the completion that hands a carries-chunk op's send credit back
+// to the guest when the op dies; kInvalid for any other op.
+shm::NqeOp ReclaimOp(shm::NqeOp op);
 
 class NqeValidator {
  public:

@@ -195,6 +195,10 @@ struct Nqe {
 
 static_assert(sizeof(Nqe) == 32, "NQE must be exactly 32 bytes (paper Figure 3)");
 
+// VM and NSM ids are one byte each, so per-id state lives in fixed arrays of
+// kNumIds records indexed by the id.
+inline constexpr size_t kNumIds = 256;
+
 // Trace id carried in reserved[3..4] (little-endian 16-bit). The other
 // reserved bytes are spoken for: reserved[0] echoes the original op on
 // completions, reserved[1] carries the reuseport flag / kNqeFlagChunkUnconsumed,

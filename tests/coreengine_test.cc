@@ -254,5 +254,80 @@ TEST_F(CoreEngineTest, WakesDestinationDevice) {
   EXPECT_EQ(nsm_wakes, 1);
 }
 
+// The per-id records end at id 255: the highest VM and NSM ids route both
+// ways and park on both sides, and deregistration leaves records that a
+// re-registration finds fresh.
+TEST(CoreEngineIdTest, HighestIdsRouteParkAndReRegisterFresh) {
+  sim::EventLoop loop;
+  sim::CpuCore core(&loop, "ce");
+  CoreEngine ce(&loop, &core);
+  NkDevice vm("vm255", 1, 4);    // 3-slot rings: the fourth delivery parks
+  NkDevice nsm("nsm255", 1, 4);
+  constexpr uint8_t kId = 255;
+  const auto run = [&] { loop.Run(loop.Now() + kMillisecond); };
+  const auto register_both = [&] {
+    ce.RegisterVmDevice(kId, &vm);
+    ce.RegisterNsmDevice(kId, &nsm);
+    ce.AssignVmToNsm(kId, kId);
+  };
+  register_both();
+  ce.SetVmWeight(kId, 3);
+  ce.RecordNsmHeartbeat(kId);
+  EXPECT_EQ(ce.NsmHeartbeats(kId), 1u);
+
+  // VM -> NSM: five new sockets into a 3-slot job ring.
+  for (uint32_t sock = 1; sock <= 5; ++sock) {
+    ASSERT_TRUE(vm.queue_set(0).job.TryEnqueue(MakeNqe(NqeOp::kSocket, kId, 0, sock)));
+    ce.NotifyVmOutbound(kId);
+    run();
+  }
+  EXPECT_EQ(nsm.queue_set(0).job.Size(), 3u);
+  EXPECT_EQ(ce.SocketTableSize(), 5u);
+  // NSM -> VM: five results into a 3-slot completion ring.
+  for (uint32_t sock = 1; sock <= 5; ++sock) {
+    Nqe resp = MakeNqe(NqeOp::kOpResult, kId, 0, sock);
+    resp.reserved[0] = static_cast<uint8_t>(NqeOp::kSocket);
+    ASSERT_TRUE(nsm.queue_set(0).completion.TryEnqueue(resp));
+    ce.NotifyNsmOutbound(kId);
+    run();
+  }
+  EXPECT_EQ(vm.queue_set(0).completion.Size(), 3u);
+  EXPECT_EQ(ce.ParkedDeliveries(), 4u);  // two toward each side
+  EXPECT_EQ(ce.VmStats(kId).switched, 6u);
+
+  ce.DeregisterVmDevice(kId);
+  ce.DeregisterNsmDevice(kId);
+  EXPECT_EQ(ce.SocketTableSize(), 0u);
+  EXPECT_EQ(ce.ParkedDeliveries(), 0u);
+  EXPECT_EQ(ce.ShardOfVmQset(kId, 0), -1);
+  EXPECT_EQ(ce.ShardOfNsmQset(kId, 0), -1);
+  EXPECT_EQ(ce.NsmLastActivity(kId), 0u);
+
+  // Re-registered, both records start fresh.
+  Nqe nqe;
+  while (vm.queue_set(0).completion.TryDequeue(&nqe)) {
+  }
+  while (nsm.queue_set(0).job.TryDequeue(&nqe)) {
+  }
+  register_both();
+  EXPECT_EQ(ce.VmWeight(kId), 1u);
+  EXPECT_EQ(ce.SocketTableSize(), 0u);
+  EXPECT_EQ(ce.ParkedDeliveries(), 0u);
+  EXPECT_EQ(ce.NsmHeartbeats(kId), 0u);
+  ASSERT_TRUE(vm.queue_set(0).job.TryEnqueue(MakeNqe(NqeOp::kSocket, kId, 0, 9)));
+  ce.NotifyVmOutbound(kId);
+  run();
+  ASSERT_TRUE(nsm.queue_set(0).job.TryDequeue(&nqe));
+  EXPECT_EQ(nqe.vm_sock, 9u);
+  Nqe resp = MakeNqe(NqeOp::kOpResult, kId, 0, 9);
+  resp.reserved[0] = static_cast<uint8_t>(NqeOp::kSocket);
+  ASSERT_TRUE(nsm.queue_set(0).completion.TryEnqueue(resp));
+  ce.NotifyNsmOutbound(kId);
+  run();
+  ASSERT_TRUE(vm.queue_set(0).completion.TryDequeue(&nqe));
+  EXPECT_EQ(nqe.vm_sock, 9u);
+  EXPECT_EQ(ce.ParkedDeliveries(), 0u);
+}
+
 }  // namespace
 }  // namespace netkernel::core

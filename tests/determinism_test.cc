@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/core/netkernel.h"
@@ -24,37 +27,92 @@ using core::Vm;
 struct RunResult {
   uint64_t completed = 0;
   uint64_t nqes = 0;
+  uint64_t deferred = 0;
   double mean_latency_us = 0;
   uint64_t events = 0;
+  std::string flight;
 };
 
-RunResult RunWorkload(uint64_t seed) {
+// Sends `count` small datagrams from `cpu`'s queue set, as fast as send
+// credit allows.
+sim::Task<void> DgramFlood(Vm* vm, int cpu_index, netsim::IpAddr dst, int count) {
+  SocketApi& api = vm->api();
+  sim::CpuCore* cpu = vm->vcpu(cpu_index);
+  int fd = co_await api.SocketDgram(cpu);
+  if (fd < 0) co_return;
+  std::vector<uint8_t> msg(32, 0x5a);
+  for (int i = 0; i < count; ++i) co_await api.SendTo(cpu, fd, dst, 9999, msg.data(), msg.size());
+  co_await api.Close(cpu, fd);
+}
+
+// Which traffic RunWorkload drives.
+enum class Workload {
+  // 64 closed-loop HTTP clients against one NetKernel server.
+  kHttp,
+  // Two NetKernel VMs flood datagrams through one slow NSM each, with both
+  // VMs' queue sets spread over two CE shards and a tiny pending bound, so
+  // each shard parks deliveries for both NSMs at once and the park drain's
+  // destination order shapes the run. `heap_padding` blocks allocated
+  // between the two VMs shift the second VM's and NSM's heap addresses.
+  kParkDrain,
+};
+
+RunResult RunWorkload(uint64_t seed, Workload workload = Workload::kHttp, int heap_padding = 0) {
   core::Host::ResetIpAllocator();  // identical addresses across runs
   sim::EventLoop loop;
   netsim::Fabric fabric(&loop);
-  core::Host host_a(&loop, &fabric, "A");
+  core::Host::Options opts;
+  if (workload == Workload::kParkDrain) {
+    opts.ce.shards = 2;
+    opts.ce.pending_bound = 2;
+  }
+  core::Host host_a(&loop, &fabric, "A", opts);
   core::Host host_b(&loop, &fabric, "B");
-  core::Nsm* nsm = host_a.CreateNsm("nsm", 2, NsmKind::kKernel);
-  Vm* srv = host_a.CreateNetkernelVm("srv", 2, nsm);
-  tcp::TcpStackConfig cfg;
-  cfg.profile = tcp::SinkProfile();
-  Vm* cli = host_b.CreateBaselineVm("cli", 4, cfg);
-  apps::ServerStats sstat;
-  apps::EpollServerConfig scfg;
-  apps::StartEpollServer(srv, scfg, &sstat);
   apps::LoadGenStats lstat;
-  apps::LoadGenConfig lcfg;
-  lcfg.server_ip = srv->ip();
-  lcfg.concurrency = 64;
-  lcfg.total_requests = 4000;
-  lcfg.seed = seed;
-  apps::StartLoadGen(cli, lcfg, &lstat);
-  loop.Run(30 * kSecond);
+  apps::ServerStats sstat;
+  std::vector<std::unique_ptr<char[]>> padding;
+  if (workload == Workload::kHttp) {
+    core::Nsm* nsm = host_a.CreateNsm("nsm", 2, NsmKind::kKernel);
+    Vm* srv = host_a.CreateNetkernelVm("srv", 2, nsm);
+    tcp::TcpStackConfig cfg;
+    cfg.profile = tcp::SinkProfile();
+    Vm* cli = host_b.CreateBaselineVm("cli", 4, cfg);
+    apps::EpollServerConfig scfg;
+    apps::StartEpollServer(srv, scfg, &sstat);
+    apps::LoadGenConfig lcfg;
+    lcfg.server_ip = srv->ip();
+    lcfg.concurrency = 64;
+    lcfg.total_requests = 4000;
+    lcfg.seed = seed;
+    apps::StartLoadGen(cli, lcfg, &lstat);
+    loop.Run(30 * kSecond);
+  } else {
+    std::vector<Vm*> vms;
+    for (int i = 0; i < 2; ++i) {
+      if (i == 1) {
+        for (int b = 0; b < heap_padding; ++b) {
+          padding.push_back(std::make_unique<char[]>(static_cast<size_t>(24 + 136 * b)));
+        }
+      }
+      core::Nsm* nsm = host_a.CreateNsm("nsm" + std::to_string(i), 1, NsmKind::kKernel);
+      vms.push_back(host_a.CreateNetkernelVm("vm" + std::to_string(i), 2, nsm));
+    }
+    Vm* sink = host_b.CreateBaselineVm("sink", 1);
+    for (Vm* vm : vms) {
+      for (int qs = 0; qs < 2; ++qs) {
+        EXPECT_TRUE(host_a.ce().AssignQueueSetToShard(vm->id(), static_cast<uint8_t>(qs), qs));
+        sim::Spawn(DgramFlood(vm, qs, sink->ip(), 20000));
+      }
+    }
+    loop.Run(200 * kMillisecond);
+  }
   RunResult r;
   r.completed = lstat.completed;
   r.nqes = host_a.ce().stats().nqes_switched;
+  r.deferred = host_a.ce().stats().deliveries_deferred;
   r.mean_latency_us = lstat.latency_us.Mean();
   r.events = loop.events_executed();
+  r.flight = host_a.DumpFlightRecorder(64);
   return r;
 }
 
@@ -65,6 +123,19 @@ TEST(Determinism, IdenticalRunsProduceIdenticalResults) {
   EXPECT_EQ(a.nqes, b.nqes);
   EXPECT_EQ(a.events, b.events);
   EXPECT_DOUBLE_EQ(a.mean_latency_us, b.mean_latency_us);
+}
+
+TEST(Determinism, ParkDrainOrderIgnoresHeapLayout) {
+  // The park drain visits destinations in slot (id) order, never in an
+  // order derived from heap addresses, so shifting where the second VM and
+  // its NSM live must not change a single event.
+  RunResult a = RunWorkload(7, Workload::kParkDrain, 0);
+  RunResult b = RunWorkload(7, Workload::kParkDrain, 5);
+  EXPECT_GT(a.deferred, 0u) << "nothing parked: the input does not reach the drain";
+  EXPECT_EQ(a.deferred, b.deferred);
+  EXPECT_EQ(a.nqes, b.nqes);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.flight, b.flight);
 }
 
 TEST(Determinism, RepeatedRunsAlwaysComplete) {

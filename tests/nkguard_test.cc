@@ -465,6 +465,10 @@ TEST(NkGuard, QuarantineTearsDownBothSocketKindsAndBothRecover) {
   loop.Run(loop.Now() + 150 * kMillisecond);
   EXPECT_EQ(vm->pool()->bytes_in_use(), 0u);
   EXPECT_EQ(vm->pool()->allocs(), vm->pool()->frees());
+  // Every zero-copy send settles: the ones inside the NSM when it evicted
+  // the VM complete through the quarantine, and the ones the guest sent
+  // while quarantined fail when the dead socket closes.
+  EXPECT_EQ(gl->zc_sends(), gl->zc_completions() + gl->send_credit_reclaims());
 }
 
 // Counts datagrams arriving on `port` whose source is `from`.

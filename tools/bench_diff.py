@@ -13,7 +13,7 @@ Usage:
                         --curr <dir-with-current-BENCH_*.json> \
                         [--threshold 0.10]
     tools/bench_diff.py --list-gates [--threshold 0.10]
-    tools/bench_diff.py --nkbench <dir-with-<workload>.json> [--refresh]
+    tools/bench_diff.py --nkbench <dir-with-<workload>.json> [--layers] [--refresh]
 
 When --prev holds no rows (a fresh clone, or CI's first run), the diff runs
 against the blessed snapshot in bench/baseline/ instead: the BENCH_*.json rows
@@ -33,6 +33,11 @@ are deterministic per seed whatever --seconds is, so any difference is a model
 change: it fails until the same change refreshes the snapshot (--refresh
 rewrites it from the directory; see NKBENCH_REFRESH_HINT). The wall-clock and
 host figures (sim_refev_per_op, setup_s, peak_rss_mb) are not checked.
+
+--nkbench DIR --layers checks the deterministic per-layer counters (NKBENCH_LAYERS)
+of `--trace 1` runs the same way, against bench/baseline/nkbench_layers_seed1.json.
+Tracing charges modeled cycles, so a traced run's end-to-end metrics differ from an
+untraced one and are not checked here.
 
 --list-gates prints the gated-metric set, one `bench metric direction
 threshold` row per gate, so the set is itself lintable: diff it against the
@@ -66,6 +71,26 @@ refresh bench/baseline/nkbench_seed1.json from a Release nkbench build
     ./build-nkbench/nkbench --workload $w --seed 1 --seconds 1 --trace 0 | tail -1 > nkbench-out/$w.json
   done
   python3 tools/bench_diff.py --nkbench nkbench-out --refresh"""
+
+NKBENCH_LAYERS_SNAPSHOT = "nkbench_layers_seed1.json"
+# The per-layer keys of a `--trace 1` run (nkbench/LAYERS.md) that are exact per
+# seed: per-op counts, utilisations, the CE round size, drop/defer counters and
+# the traced-NQE counts. The sim.* keys, obs.trace_overhead and every key
+# measured in wall-clock ns are left out.
+NKBENCH_LAYERS = ("netsim.wire_pkts_per_op", "netsim.link_util", "shm.pool_allocs_per_op",
+                  "guestlib.nqes_per_op", "guestlib.busy_cycles_per_op",
+                  "ce.busy_cycles_per_op", "ce.util", "ce.nqes_per_round",
+                  "ce.nqes_switched_per_op", "ce.table_inserts_per_op", "ce.deferred",
+                  "ce.dropped", "ce.traced_nqes", "nsm.busy_cycles_per_op", "nsm.util",
+                  "servicelib.doorbells_per_op", "nsm.traced_nqes", "tcp.segs_per_op")
+NKBENCH_LAYERS_REFRESH_HINT = """\
+refresh bench/baseline/nkbench_layers_seed1.json from a Release nkbench build
+(cmake -S nkbench -B build-nkbench -DCMAKE_BUILD_TYPE=Release):
+  mkdir -p nkbench-trace-out
+  for w in kv_udp_open http_short_closed bulk_txrx; do
+    ./build-nkbench/nkbench --workload $w --seed 1 --seconds 1 --trace 1 | tail -1 > nkbench-trace-out/$w.json
+  done
+  python3 tools/bench_diff.py --nkbench nkbench-trace-out --layers --refresh"""
 
 # Metrics where a LOWER value is better; everything else is higher-is-better.
 LOWER_IS_BETTER = {
@@ -128,8 +153,8 @@ def load_rows(directory, pattern="BENCH_*.json"):
     return rows
 
 
-def load_nkbench_rows(directory):
-    """(nkbench, workload, metric) rows from <workload>.json result lines."""
+def load_nkbench_rows(directory, keys):
+    """(nkbench, workload, metric) rows of `keys` from <workload>.json result lines."""
     rows = {}
     for path in sorted(glob.glob(os.path.join(directory, "*.json"))):
         workload = os.path.splitext(os.path.basename(path))[0]
@@ -139,19 +164,22 @@ def load_nkbench_rows(directory):
         except (OSError, IndexError, KeyError, json.JSONDecodeError) as e:
             print(f"warning: no nkbench result in {path}: {e}", file=sys.stderr)
             continue
-        for metric in NKBENCH_EXACT:
+        for metric in keys:
             if metric in metrics:
                 rows[("nkbench", workload, metric)] = float(metrics[metric]["value"])
     return rows
 
 
-def check_nkbench(directory, refresh):
-    """Exact-equality check of nkbench's virtual metrics against the snapshot."""
-    curr = load_nkbench_rows(directory)
+def check_nkbench(directory, refresh, layers):
+    """Exact-equality check of nkbench's virtual metrics (or, with `layers`, its
+    deterministic per-layer counters) against the snapshot."""
+    name, keys, hint = ((NKBENCH_LAYERS_SNAPSHOT, NKBENCH_LAYERS, NKBENCH_LAYERS_REFRESH_HINT)
+                        if layers else (NKBENCH_SNAPSHOT, NKBENCH_EXACT, NKBENCH_REFRESH_HINT))
+    curr = load_nkbench_rows(directory, keys)
     if not curr:
         print(f"no nkbench results in {directory}")
         return 1
-    snapshot = os.path.join(BASELINE_DIR, NKBENCH_SNAPSHOT)
+    snapshot = os.path.join(BASELINE_DIR, name)
     if refresh:
         rows = [{"bench": b, "config": c, "metric": m, "value": v}
                 for (b, c, m), v in sorted(curr.items())]
@@ -159,9 +187,10 @@ def check_nkbench(directory, refresh):
             f.write("[\n" + ",\n".join("  " + json.dumps(r) for r in rows) + "\n]\n")
         print(f"wrote {len(rows)} rows to {snapshot}")
         return 0
-    prev = load_rows(BASELINE_DIR, NKBENCH_SNAPSHOT)
+    prev = load_rows(BASELINE_DIR, name)
     changed = 0
-    header = f"{'workload':<20} {'metric':<14} {'snapshot':>20} {'this run':>20} {'delta':>10}"
+    width = max(len(k) for k in keys)
+    header = f"{'workload':<20} {'metric':<{width}} {'snapshot':>20} {'this run':>20} {'delta':>10}"
     print(header)
     print("-" * len(header))
     for key in sorted(set(prev) | set(curr)):
@@ -174,13 +203,14 @@ def check_nkbench(directory, refresh):
         if pv != cv:
             flag = " <-- CHANGED"
             changed += 1
-        print(f"{workload:<20} {metric:<14} {ps:>20} {cs:>20} {delta:>10}{flag}")
+        print(f"{workload:<20} {metric:<{width}} {ps:>20} {cs:>20} {delta:>10}{flag}")
+    what = "per-layer counter" if layers else "virtual metric"
     if changed:
-        print(f"\nFAIL: {changed} nkbench virtual metric(s) differ from {snapshot}.")
+        print(f"\nFAIL: {changed} nkbench {what}(s) differ from {snapshot}.")
         print("These are deterministic per seed, so the change moved the model. If that is "
-              "intended, " + NKBENCH_REFRESH_HINT)
+              "intended, " + hint)
         return 1
-    print(f"\nOK: all {len(curr)} nkbench virtual metrics match the snapshot exactly")
+    print(f"\nOK: all {len(curr)} nkbench {what}s match the snapshot exactly")
     return 0
 
 
@@ -214,6 +244,9 @@ def main():
     ap.add_argument("--nkbench", metavar="DIR",
                     help="check the nkbench results <workload>.json in DIR for exact "
                          "equality with bench/baseline/" + NKBENCH_SNAPSHOT)
+    ap.add_argument("--layers", action="store_true",
+                    help="with --nkbench: DIR holds --trace 1 results; check their per-layer "
+                         "counters against bench/baseline/" + NKBENCH_LAYERS_SNAPSHOT)
     ap.add_argument("--refresh", action="store_true",
                     help="with --nkbench: rewrite the snapshot from DIR instead of checking")
     args = ap.parse_args()
@@ -221,9 +254,9 @@ def main():
     if args.list_gates:
         return list_gates(args.threshold)
     if args.nkbench is not None:
-        return check_nkbench(args.nkbench, args.refresh)
-    if args.refresh:
-        ap.error("--refresh goes with --nkbench")
+        return check_nkbench(args.nkbench, args.refresh, args.layers)
+    if args.refresh or args.layers:
+        ap.error("--refresh and --layers go with --nkbench")
     if args.prev is None or args.curr is None:
         ap.error("--prev and --curr are required unless --list-gates or --nkbench is given")
 
