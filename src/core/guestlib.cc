@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/udpstack/udp_types.h"
@@ -415,6 +416,8 @@ sim::Task<int64_t> GuestLib::SubmitLoan(sim::CpuCore* core, int fd, NkBuf buf, b
     ++dgram_zc_sends_;
   } else {
     ++zc_sends_;
+    ++g->zc_inflight;
+    g->zc_inflight_bytes += n;
   }
   EnqueueSend(*g, MakeNqe(op, vm_id_, 0, g->handle, dst, buf.handle, n));
   co_return static_cast<int64_t>(n);
@@ -718,12 +721,18 @@ void GuestLib::ApplyInbound(const Nqe& nqe) {
   const bool unconsumed =
       (op == NqeOp::kSendResult || op == NqeOp::kSendToResult || op == NqeOp::kSendZcComplete) &&
       nqe.reserved[1] == shm::kNqeFlagChunkUnconsumed;
+  GSock* g = FindByHandle(nqe.vm_sock);
+  if (op == NqeOp::kSendZcComplete && g != nullptr && g->zc_reclaimed > 0) {
+    // The teardown FIN already counted this send and returned its credit.
+    --g->zc_reclaimed;
+    if (unconsumed) FreeInboundChunk(nqe.data_ptr);
+    return;
+  }
   if (unconsumed && FreeInboundChunk(nqe.data_ptr)) ++send_credit_reclaims_;
   if (op == NqeOp::kSendZcComplete) ++zc_completions_;
   if (op == NqeOp::kSendToResult && static_cast<NqeOp>(nqe.reserved[0]) == NqeOp::kSendToZc) {
     ++dgram_zc_completions_;
   }
-  GSock* g = FindByHandle(nqe.vm_sock);
   if (g == nullptr) {
     // Socket already closed; free any received chunk. A datagram NQE always
     // references a chunk — even a zero-length datagram rides in a minimal
@@ -754,6 +763,10 @@ void GuestLib::ApplyInbound(const Nqe& nqe) {
       // zero-copy stream send's range is ACKed (the NSM freed the chunk into
       // the shared pool) or a zero-copy datagram hit the wire.
       ReturnSendCredit(*g, nqe.op_data);
+      if (op == NqeOp::kSendZcComplete && g->zc_inflight > 0) {
+        --g->zc_inflight;
+        g->zc_inflight_bytes -= std::min<uint64_t>(g->zc_inflight_bytes, nqe.op_data);
+      }
       // A lost stream write breaks the byte stream, so the TCP socket is
       // errored, as is a zero-copy stream send retired with an error status;
       // a lost datagram is ordinary UDP loss.
@@ -779,6 +792,15 @@ void GuestLib::ApplyInbound(const Nqe& nqe) {
         // An errored FIN (connection torn down under the app, e.g. its NSM
         // was failed over): the stream is dead and the app owes a reconnect.
         if (!g->dgram) ++reconnects_required_;
+        // CoreEngine sends kCeNetUnreach only when it deregisters the NSM:
+        // nothing more of that NSM reaches this guest, so the zero-copy sends
+        // it still held are settled here.
+        if (static_cast<int32_t>(nqe.size) == kCeNetUnreach && g->zc_inflight > 0) {
+          send_credit_reclaims_ += g->zc_inflight;
+          g->zc_reclaimed += g->zc_inflight;
+          g->zc_inflight = 0;
+          ReturnSendCredit(*g, std::exchange(g->zc_inflight_bytes, 0));
+        }
       }
       break;
     case NqeOp::kNsmRehomed:

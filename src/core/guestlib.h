@@ -192,6 +192,13 @@ class GuestLib : public SocketApi {
     bool fin = false;
     // Send credit in use, against kSendCredit.
     uint64_t send_usage = 0;
+    // Stream zero-copy sends still owed a kSendZcComplete, and their credit.
+    // When CoreEngine deregisters the socket's NSM, their completions would
+    // sit in rings no shard polls, so its teardown FIN settles them here;
+    // `zc_reclaimed` then absorbs any that were already on their way.
+    uint64_t zc_inflight = 0;
+    uint64_t zc_inflight_bytes = 0;
+    uint64_t zc_reclaimed = 0;
     // Zero-copy loans keyed by pool offset. TX: acquired buffers whose credit
     // is reserved (value = reserved bytes). RX: chunks loaned to the app
     // (value = chunk size, credited back on release).

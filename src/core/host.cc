@@ -262,6 +262,15 @@ void Host::BuildMetricsRegistry(obs::MetricsRegistry* registry) const {
                               [g] { return double(g->guard_bad_frees()); },
                               "inbound chunk frees refused (bad offset or double free)");
 
+    const shm::HugepagePool* pool = vm->pool_.get();
+    const std::string pp = "vm" + std::to_string(id) + ".pool.";
+    registry->RegisterGauge(pp + "region_bytes", [pool] { return double(pool->region_bytes()); },
+                            "hugepage region reserved for this VM");
+    registry->RegisterGauge(pp + "carved_bytes", [pool] { return double(pool->carved_bytes()); },
+                            "region bytes ever carved into chunks (the resident bound)");
+    registry->RegisterGauge(pp + "bytes_in_use", [pool] { return double(pool->bytes_in_use()); },
+                            "chunk bytes currently allocated");
+
     // Per-VM validator verdicts (nkguard).
     const std::string qp = "guard.vm" + std::to_string(id) + ".";
     registry->RegisterCounter(qp + "rejects",

@@ -2,6 +2,8 @@
 
 #include "src/shm/hugepage_pool.h"
 
+#include <sys/mman.h>
+
 #include <cstring>
 
 #include "src/common/check.h"
@@ -21,10 +23,22 @@ constexpr uint64_t kStateByte = 4;  // header layout: [int class_idx][state][gen
 // region is zero-initialized, so fresh chunks start at generation 0 and the
 // first Alloc hands out generation 1.
 constexpr uint64_t kGenBytes = 5;
+
+// Anonymous private mappings read as zeros and get their pages on first
+// touch; zero-filling a heap buffer instead would fault in every page.
+uint8_t* MapZeroed(uint64_t bytes) {
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  NK_CHECK_MSG(p != MAP_FAILED, "hugepage region mmap failed");
+  return static_cast<uint8_t*>(p);
 }
+}  // namespace
+
+void HugepagePool::Unmap::operator()(uint8_t* p) const { munmap(p, bytes); }
 
 HugepagePool::HugepagePool(uint64_t region_bytes)
-    : region_(region_bytes), free_lists_(kNumClasses) {
+    : region_bytes_(region_bytes),
+      region_(MapZeroed(region_bytes), Unmap{region_bytes}),
+      free_lists_(kNumClasses) {
   NK_CHECK(region_bytes >= kMaxChunk + kHeader);
 }
 
@@ -59,66 +73,66 @@ uint64_t HugepagePool::Alloc(uint32_t size) {
     offset = free_lists_[idx].back();
     free_lists_[idx].pop_back();
   } else {
-    if (bump_ + kHeader + chunk > region_.size()) {
+    if (bump_ + kHeader + chunk > region_bytes_) {
       ++alloc_failures_;
       return kInvalidOffset;
     }
     uint64_t header_at = bump_;
     bump_ += kHeader + chunk;
     offset = header_at + kHeader;
-    std::memcpy(&region_[header_at], &idx, sizeof(int));
+    std::memcpy(region_.get() + header_at, &idx, sizeof(int));
   }
-  region_[offset - kHeader + kStateByte] = kStateAllocated;
+  region_.get()[offset - kHeader + kStateByte] = kStateAllocated;
   uint16_t gen;
-  std::memcpy(&gen, &region_[offset - kHeader + kGenBytes], sizeof(gen));
+  std::memcpy(&gen, region_.get() + offset - kHeader + kGenBytes, sizeof(gen));
   ++gen;
-  std::memcpy(&region_[offset - kHeader + kGenBytes], &gen, sizeof(gen));
+  std::memcpy(region_.get() + offset - kHeader + kGenBytes, &gen, sizeof(gen));
   bytes_in_use_ += chunk;
   ++allocs_;
   return offset;
 }
 
 void HugepagePool::Free(uint64_t offset) {
-  NK_CHECK(offset != kInvalidOffset && offset >= kHeader && offset < region_.size());
+  NK_CHECK(offset != kInvalidOffset && offset >= kHeader && offset < region_bytes_);
   int idx;
-  std::memcpy(&idx, &region_[offset - kHeader], sizeof(int));
+  std::memcpy(&idx, region_.get() + offset - kHeader, sizeof(int));
   NK_CHECK(idx >= 0 && idx < kNumClasses);
-  NK_CHECK_MSG(region_[offset - kHeader + kStateByte] == kStateAllocated,
+  NK_CHECK_MSG(region_.get()[offset - kHeader + kStateByte] == kStateAllocated,
                "hugepage chunk double free (or bogus offset)");
-  region_[offset - kHeader + kStateByte] = kStateFree;
+  region_.get()[offset - kHeader + kStateByte] = kStateFree;
   free_lists_[idx].push_back(offset);
   bytes_in_use_ -= kMinChunk << idx;
   ++frees_;
 }
 
 bool HugepagePool::IsAllocated(uint64_t offset) const {
-  if (offset == kInvalidOffset || offset < kHeader || offset >= region_.size()) return false;
-  return region_[offset - kHeader + kStateByte] == kStateAllocated;
+  if (offset == kInvalidOffset || offset < kHeader || offset >= region_bytes_) return false;
+  return region_.get()[offset - kHeader + kStateByte] == kStateAllocated;
 }
 
 uint16_t HugepagePool::Generation(uint64_t offset) const {
-  NK_CHECK(offset != kInvalidOffset && offset >= kHeader && offset < region_.size());
+  NK_CHECK(offset != kInvalidOffset && offset >= kHeader && offset < region_bytes_);
   uint16_t gen;
-  std::memcpy(&gen, &region_[offset - kHeader + kGenBytes], sizeof(gen));
+  std::memcpy(&gen, region_.get() + offset - kHeader + kGenBytes, sizeof(gen));
   return gen;
 }
 
 uint32_t HugepagePool::ChunkCapacity(uint64_t offset) const {
-  NK_CHECK(offset != kInvalidOffset && offset >= kHeader && offset < region_.size());
+  NK_CHECK(offset != kInvalidOffset && offset >= kHeader && offset < region_bytes_);
   int idx;
-  std::memcpy(&idx, &region_[offset - kHeader], sizeof(int));
+  std::memcpy(&idx, region_.get() + offset - kHeader, sizeof(int));
   NK_CHECK(idx >= 0 && idx < kNumClasses);
   return kMinChunk << idx;
 }
 
 uint8_t* HugepagePool::Data(uint64_t offset) {
-  NK_CHECK(offset != kInvalidOffset && offset < region_.size());
-  return &region_[offset];
+  NK_CHECK(offset != kInvalidOffset && offset < region_bytes_);
+  return region_.get() + offset;
 }
 
 const uint8_t* HugepagePool::Data(uint64_t offset) const {
-  NK_CHECK(offset != kInvalidOffset && offset < region_.size());
-  return &region_[offset];
+  NK_CHECK(offset != kInvalidOffset && offset < region_bytes_);
+  return region_.get() + offset;
 }
 
 }  // namespace netkernel::shm

@@ -7,11 +7,19 @@
 // over one contiguous region (the paper uses 128 x 2 MB hugepages; the region
 // size is configurable here). Exhaustion is reported to the caller, which
 // models the finite socket-buffer backpressure of the real system.
+//
+// The region is reserved at full size up front, as the paper preallocates it,
+// but as anonymous zero-fill-on-demand memory: its pages become resident only
+// as the bump allocator carves chunks on them, so a pool costs memory for its
+// high-water mark (carved_bytes()), not for region_bytes(). Every byte still
+// reads 0 until it is first written.
 
 #ifndef SRC_SHM_HUGEPAGE_POOL_H_
 #define SRC_SHM_HUGEPAGE_POOL_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/common/units.h"
@@ -50,7 +58,10 @@ class HugepagePool {
   uint8_t* Data(uint64_t offset);
   const uint8_t* Data(uint64_t offset) const;
 
-  uint64_t region_bytes() const { return region_.size(); }
+  uint64_t region_bytes() const { return region_bytes_; }
+  // High-water mark of the bump allocator: bytes of the region ever carved
+  // into chunks (headers included). Only these pages can be resident.
+  uint64_t carved_bytes() const { return bump_; }
   uint64_t bytes_in_use() const { return bytes_in_use_; }
   uint64_t chunks_in_use() const { return allocs_ - frees_; }
   uint64_t allocs() const { return allocs_; }
@@ -67,7 +78,14 @@ class HugepagePool {
 
   int ClassIndex(uint32_t size) const;
 
-  std::vector<uint8_t> region_;
+  // Unmaps the region (munmap needs its length).
+  struct Unmap {
+    size_t bytes = 0;
+    void operator()(uint8_t* p) const;
+  };
+
+  uint64_t region_bytes_;
+  std::unique_ptr<uint8_t, Unmap> region_;
   uint64_t bump_ = 0;  // carve point for fresh blocks
   std::vector<std::vector<uint64_t>> free_lists_;
   uint64_t bytes_in_use_ = 0;

@@ -131,23 +131,18 @@ class ByteBuffer {
   // Copies `n` bytes starting `offset` bytes from the front into `out`.
   // Requires offset + n <= size().
   void CopyOut(uint64_t offset, uint64_t n, uint8_t* out) const {
-    NK_CHECK(offset + n <= size_);
-    uint64_t skip = head_offset_ + offset;
-    size_t ci = 0;
-    while (skip >= chunks_[ci].size()) {
-      skip -= chunks_[ci].size();
-      ++ci;
-    }
-    uint64_t copied = 0;
-    while (copied < n) {
-      const Chunk& c = chunks_[ci];
-      uint64_t avail = c.size() - skip;
-      uint64_t take = n - copied < avail ? n - copied : avail;
-      std::memcpy(out + copied, c.data() + skip, take);
-      copied += take;
-      skip = 0;
-      ++ci;
-    }
+    ForEachSpan(offset, n, [&out](const uint8_t* p, uint64_t len) {
+      std::memcpy(out, p, len);
+      out += len;
+    });
+  }
+
+  // Appends the same `n` bytes to `out`: one pass over the payload, with no
+  // zero-fill of a destination that is overwritten anyway.
+  void CopyOut(uint64_t offset, uint64_t n, std::vector<uint8_t>* out) const {
+    out->reserve(out->size() + n);
+    ForEachSpan(offset, n,
+                [out](const uint8_t* p, uint64_t len) { out->insert(out->end(), p, p + len); });
   }
 
   // Removes `n` bytes from the front, firing free callbacks of external
@@ -229,6 +224,29 @@ class ByteBuffer {
     const uint8_t* data() const { return ext != nullptr ? ext : owned.data(); }
     uint64_t size() const { return ext != nullptr ? ext_len : owned.size(); }
   };
+
+  // Calls fn(ptr, len) for each contiguous piece of the `n` bytes starting
+  // `offset` bytes from the front, in order. Requires offset + n <= size().
+  template <typename Fn>
+  void ForEachSpan(uint64_t offset, uint64_t n, Fn fn) const {
+    NK_CHECK(offset + n <= size_);
+    uint64_t skip = head_offset_ + offset;
+    size_t ci = 0;
+    while (skip >= chunks_[ci].size()) {
+      skip -= chunks_[ci].size();
+      ++ci;
+    }
+    uint64_t done = 0;
+    while (done < n) {
+      const Chunk& c = chunks_[ci];
+      uint64_t avail = c.size() - skip;
+      uint64_t take = n - done < avail ? n - done : avail;
+      fn(c.data() + skip, take);
+      done += take;
+      skip = 0;
+      ++ci;
+    }
+  }
 
   // Allocator path of Append: tail-pack into the open pooled chunk, then
   // draw fresh chunks; heap fallback (counted) when the allocator is dry.

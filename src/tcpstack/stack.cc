@@ -160,7 +160,7 @@ int TcpStack::Connect(SocketId id, IpAddr dst_ip, uint16_t dst_port) {
   ChargeWithSharedLock(s->core_idx, config_.profile.conn_setup, [this, id] {
     Sock* s2 = Find(id);
     if (s2 == nullptr || s2->state != TcpState::kSynSent) return;
-    EmitSegment(*s2, kSyn, s2->iss, nullptr, 0);
+    EmitSegment(*s2, kSyn, s2->iss);
     ArmRto(*s2);
   });
   return kOk;
@@ -356,7 +356,7 @@ uint64_t TcpStack::AdvertisedWindow(const Sock& s) const {
   return s.rcvbuf_limit > used ? s.rcvbuf_limit - used : 0;
 }
 
-void TcpStack::EmitSegment(Sock& s, uint8_t flags, SeqNum seq, const uint8_t* payload,
+void TcpStack::EmitSegment(Sock& s, uint8_t flags, SeqNum seq, uint64_t sndbuf_off,
                            uint32_t len, bool ece) {
   auto seg = std::make_shared<Segment>();
   seg->tuple = s.tuple;
@@ -366,9 +366,7 @@ void TcpStack::EmitSegment(Sock& s, uint8_t flags, SeqNum seq, const uint8_t* pa
   seg->rwnd = AdvertisedWindow(s);
   seg->ts = loop_->Now();
   seg->ts_echo = s.last_rx_ts;
-  if (len > 0) {
-    seg->payload.assign(payload, payload + len);
-  }
+  if (len > 0) s.sndbuf.CopyOut(sndbuf_off, len, &seg->payload);
   s.last_advertised_wnd = seg->rwnd;
 
   netsim::Packet pkt;
@@ -384,7 +382,7 @@ void TcpStack::EmitSegment(Sock& s, uint8_t flags, SeqNum seq, const uint8_t* pa
   if (nic_ != nullptr) nic_->Transmit(std::move(pkt));
 }
 
-void TcpStack::SendAck(Sock& s, bool ece) { EmitSegment(s, kAck, s.snd_nxt, nullptr, 0, ece); }
+void TcpStack::SendAck(Sock& s, bool ece) { EmitSegment(s, kAck, s.snd_nxt, 0, 0, ece); }
 
 void TcpStack::SendRst(const FourTuple& from_tuple, SeqNum seq, SeqNum ack) {
   auto seg = std::make_shared<Segment>();
@@ -484,9 +482,7 @@ void TcpStack::PumpTx(SocketId id) {
       uint64_t unsent3 = s3->sndbuf.size() - inflight3;
       uint32_t len = static_cast<uint32_t>(std::min<uint64_t>(chunk, unsent3));
       if (len > 0) {
-        std::vector<uint8_t> data(len);
-        s3->sndbuf.CopyOut(inflight3, len, data.data());
-        EmitSegment(*s3, kAck, s3->snd_nxt, data.data(), len);
+        EmitSegment(*s3, kAck, s3->snd_nxt, inflight3, len);
         s3->snd_nxt += len;
         ArmRto(*s3);
         // TSQ: hold the socket's qdisc occupancy until the (coalesced) TX
@@ -511,7 +507,7 @@ void TcpStack::MaybeSendFin(Sock& s) {
   uint64_t inflight = s.snd_nxt - s.snd_una;
   if (s.sndbuf.size() > inflight) return;  // unsent data remains
   s.fin_sent = true;
-  EmitSegment(s, kFin | kAck, s.snd_nxt, nullptr, 0);
+  EmitSegment(s, kFin | kAck, s.snd_nxt);
   s.snd_nxt += 1;
   ArmRto(s);
   if (s.state == TcpState::kEstablished || s.state == TcpState::kSynRcvd) {
@@ -557,7 +553,7 @@ void TcpStack::OnRto(SocketId id) {
       FailConnection(*s, kTimedOut);
       return;
     }
-    EmitSegment(*s, kSyn, s->iss, nullptr, 0);
+    EmitSegment(*s, kSyn, s->iss);
     s->rto = std::min(s->rto * 2, kMaxRto);
     ArmRto(*s);
     return;
@@ -567,7 +563,7 @@ void TcpStack::OnRto(SocketId id) {
       FailConnection(*s, kTimedOut);
       return;
     }
-    EmitSegment(*s, kSyn | kAck, s->iss, nullptr, 0);
+    EmitSegment(*s, kSyn | kAck, s->iss);
     s->rto = std::min(s->rto * 2, kMaxRto);
     ArmRto(*s);
     return;
@@ -593,13 +589,11 @@ void TcpStack::OnRto(SocketId id) {
       uint32_t len2 = static_cast<uint32_t>(
           std::min<uint64_t>(len, s2->sndbuf.size()));
       if (len2 == 0) return;
-      std::vector<uint8_t> data(len2);
-      s2->sndbuf.CopyOut(0, len2, data.data());
-      EmitSegment(*s2, kAck, s2->snd_una, data.data(), len2);
+      EmitSegment(*s2, kAck, s2->snd_una, 0, len2);
     });
   } else {
     // Only the FIN is outstanding.
-    EmitSegment(*s, kFin | kAck, s->snd_nxt - 1, nullptr, 0);
+    EmitSegment(*s, kFin | kAck, s->snd_nxt - 1);
   }
   ArmRto(*s);
 }
@@ -792,7 +786,7 @@ void TcpStack::HandleSynAtListener(const Segment& seg, bool ce_marked) {
   ChargeWithSharedLock(c.core_idx, config_.profile.conn_setup, [this, cid] {
     Sock* c2 = Find(cid);
     if (c2 == nullptr || c2->state != TcpState::kSynRcvd) return;
-    EmitSegment(*c2, kSyn | kAck, c2->iss, nullptr, 0);
+    EmitSegment(*c2, kSyn | kAck, c2->iss);
     ArmRto(*c2);
   });
 }
@@ -962,9 +956,7 @@ void TcpStack::HandleAck(Sock& s, const Segment& seg) {
           uint32_t len2 =
               static_cast<uint32_t>(std::min<uint64_t>(len, s2->sndbuf.size()));
           if (len2 == 0) return;
-          std::vector<uint8_t> data(len2);
-          s2->sndbuf.CopyOut(0, len2, data.data());
-          EmitSegment(*s2, kAck, s2->snd_una, data.data(), len2);
+          EmitSegment(*s2, kAck, s2->snd_una, 0, len2);
         });
       }
     }

@@ -228,8 +228,10 @@ class TcpStack {
   void HandleEstablishedData(Sock& s, const Segment& seg, bool ce_marked);
   void HandleAck(Sock& s, const Segment& seg);
   void PumpTx(SocketId id);
-  void EmitSegment(Sock& s, uint8_t flags, SeqNum seq, const uint8_t* payload, uint32_t len,
-                   bool charge = false);
+  // Sends one segment; its `len` payload bytes are copied straight from the
+  // send buffer, starting `sndbuf_off` bytes past snd_una.
+  void EmitSegment(Sock& s, uint8_t flags, SeqNum seq, uint64_t sndbuf_off = 0,
+                   uint32_t len = 0, bool ece = false);
   void SendAck(Sock& s, bool ece);
   void SendRst(const FourTuple& from_tuple, SeqNum seq, SeqNum ack);
   void MaybeSendWindowUpdate(Sock& s, uint64_t before_window);

@@ -481,6 +481,13 @@ TEST_F(ObsHostTest, HostMetricsCoverEveryComponent) {
   EXPECT_EQ(reg.Value("ce.vm1.switched"), double(h.VmNkStats(server).switched));
   EXPECT_EQ(reg.Value("nsm1.tcp.segments_sent"),
             double(nsm->stack()->stats().segments_sent));
+  // Pool footprint: the whole region is reserved, only the carved part can
+  // be resident, and nothing is held once the echo finished.
+  EXPECT_EQ(reg.Value("vm1.pool.region_bytes"), double(server->pool()->region_bytes()));
+  EXPECT_EQ(reg.Value("vm1.pool.carved_bytes"), double(server->pool()->carved_bytes()));
+  EXPECT_GT(reg.Value("vm1.pool.carved_bytes"), 0.0);
+  EXPECT_LT(reg.Value("vm1.pool.carved_bytes"), reg.Value("vm1.pool.region_bytes"));
+  EXPECT_EQ(reg.Value("vm1.pool.bytes_in_use"), double(server->pool()->bytes_in_use()));
 
   // Both exposition formats are well-formed.
   ValidatePrometheusText(h.DumpMetrics());

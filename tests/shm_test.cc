@@ -4,8 +4,11 @@
 // pool, NK devices.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -311,6 +314,39 @@ TEST(HugepagePool, DistinctAllocationsDoNotOverlap) {
       ASSERT_EQ(pool.Data(a.off)[b], a.tag);
     }
   }
+}
+
+// Resident set size of this process: the second field of /proc/self/statm,
+// in pages.
+uint64_t ResidentBytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long long size = 0, resident = 0;
+  const int got = std::fscanf(f, "%llu %llu", &size, &resident);
+  std::fclose(f);
+  return got == 2 ? resident * static_cast<uint64_t>(sysconf(_SC_PAGESIZE)) : 0;
+}
+
+TEST(HugepagePool, RegionResidentOnlyWhereCarved) {
+  // The region is reserved at full size, but a pool must cost resident memory
+  // only for what its allocator carved, not for the whole region up front.
+  constexpr uint64_t kRegion = 256 * kMiB;
+  const uint64_t before = ResidentBytes();
+  ASSERT_GT(before, 0u) << "no /proc/self/statm";
+  HugepagePool pool(kRegion);
+  const uint64_t off = pool.Alloc(HugepagePool::kMaxChunk);
+  ASSERT_NE(off, HugepagePool::kInvalidOffset);
+  const uint8_t* data = pool.Data(off);
+  EXPECT_TRUE(std::all_of(data, data + HugepagePool::kMaxChunk, [](uint8_t b) { return b == 0; }));
+  EXPECT_EQ(pool.Generation(off), 1u);
+  std::memset(pool.Data(off), 0x5a, HugepagePool::kMaxChunk);
+  EXPECT_FALSE(pool.IsAllocated(kRegion / 2));
+  EXPECT_EQ(pool.region_bytes(), kRegion);
+  EXPECT_GT(pool.carved_bytes(), HugepagePool::kMaxChunk);
+  EXPECT_LT(pool.carved_bytes(), 2 * HugepagePool::kMaxChunk);
+  const uint64_t after = ResidentBytes();
+  // A quarter of the region leaves room for sanitizer shadow pages.
+  EXPECT_LT(after > before ? after - before : 0, kRegion / 4);
 }
 
 // ---------------------------------------------------------------------------

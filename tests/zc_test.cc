@@ -380,7 +380,10 @@ TEST_F(ZcTest, PoolDrainsAfterNsmDeathMidFlight) {
   // Harsher teardown: the NSM is deregistered from CoreEngine mid-stream.
   // Queued kSendZc NQEs get flagged error completions (guest frees + credit
   // reclaim); chunks already inside the NSM drain through ACKs. Either way
-  // the shared pool must end empty — no chunk leaks across the death.
+  // the shared pool must end empty — no chunk leaks across the death. The
+  // still-running NSM's completions for those ACKs never reach the guest (no
+  // shard polls its rings), so the teardown FIN settles them: every zc send
+  // ends as a completion or a reclaim.
   Nsm* nsm = HostA().CreateNsm("nsm", 1, NsmKind::kKernel);
   Vm* nk = HostA().CreateNetkernelVm("nk", 1, nsm);
   Vm* peer = HostB().CreateBaselineVm("peer", 1);
@@ -412,6 +415,8 @@ TEST_F(ZcTest, PoolDrainsAfterNsmDeathMidFlight) {
   EXPECT_TRUE(sender_done);
   EXPECT_GT(nk->guestlib()->zc_sends(), 0u);
   EXPECT_EQ(nk->pool()->bytes_in_use(), 0u);
+  EXPECT_EQ(nk->guestlib()->zc_sends(),
+            nk->guestlib()->zc_completions() + nk->guestlib()->send_credit_reclaims());
 }
 
 TEST_F(ZcTest, ShmNsmCarriesZcSends) {
