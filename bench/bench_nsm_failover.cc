@@ -191,8 +191,7 @@ int main(int argc, char** argv) {
   // ---- Step 2: the stream VM's NSM wedges; the controller detects it. ----
   core::Nsm* spare1 = s.host_a.CreateNsm("spare1", 2, core::NsmKind::kKernel);
   s.host_a.SetStandbyNsm(spare1);
-  core::Host::FailoverConfig fcfg;
-  s.host_a.StartFailoverController(fcfg);
+  s.host_a.StartFailoverController();
   bench::StepResult step2 =
       bench::RunStep(s, [&s] { s.nsm_stream->servicelib()->Wedge(); });
   s.host_a.StopFailoverController();

@@ -63,19 +63,23 @@ int main() {
   }
 
   // Operators (and guests) read their own isolation counters at runtime over
-  // the same 8-byte CE control channel used for registration: a
-  // kQueryVmStats message returns one saturated 32-bit counter per query.
-  std::printf("\nPer-VM CoreEngine counters via CeOp::kQueryVmStats:\n");
+  // the 8-byte CE control channel: two kQueryVmStatWide messages return the
+  // low and high 32-bit words of one 64-bit counter.
+  std::printf("\nPer-VM CoreEngine counters via CeOp::kQueryVmStatWide:\n");
   for (core::Vm* vm : {polite, selfish}) {
     auto query = [&](core::VmStatField f) {
-      core::CeMessage resp = host.ce().HandleControlMessage(
-          {static_cast<uint32_t>(core::CeOp::kQueryVmStats),
-           (static_cast<uint32_t>(vm->id()) << 8) | static_cast<uint32_t>(f)});
-      return resp.ce_data;
+      uint32_t words[2];
+      for (uint32_t w = 0; w < 2; ++w) {
+        core::CeMessage resp = host.ce().HandleControlMessage(
+            {static_cast<uint32_t>(core::CeOp::kQueryVmStatWide),
+             (static_cast<uint32_t>(vm->id()) << 16) | (static_cast<uint32_t>(f) << 8) | w});
+        words[w] = resp.ce_data;
+      }
+      return static_cast<unsigned long long>(core::WideVmStat(words[0], words[1]));
     };
-    std::printf("  %-7s  switched=%u  bytes=%u KiB  throttled=%u  deferred=%u  dropped=%u\n",
+    std::printf("  %-7s  switched=%llu  bytes=%llu  throttled=%llu  deferred=%llu  dropped=%llu\n",
                 vm->name().c_str(), query(core::VmStatField::kSwitched),
-                query(core::VmStatField::kBytesKiB), query(core::VmStatField::kThrottled),
+                query(core::VmStatField::kBytes), query(core::VmStatField::kThrottled),
                 query(core::VmStatField::kDeferred), query(core::VmStatField::kDropped));
   }
   return 0;

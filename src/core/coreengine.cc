@@ -14,8 +14,7 @@ using shm::NqeOp;
 
 namespace {
 
-// The PerVmStats counter a VmStatField selects. kBytesKiB selects the raw
-// byte count; only the saturating 32-bit query scales it to KiB.
+// The PerVmStats counter a VmStatField selects.
 uint64_t PerVmStats::*VmStatCounter(VmStatField field) {
   switch (field) {
     case VmStatField::kSwitched:
@@ -24,7 +23,7 @@ uint64_t PerVmStats::*VmStatCounter(VmStatField field) {
       return &PerVmStats::dropped;
     case VmStatField::kThrottled:
       return &PerVmStats::throttled;
-    case VmStatField::kBytesKiB:
+    case VmStatField::kBytes:
       return &PerVmStats::bytes;
     case VmStatField::kDeferred:
       return &PerVmStats::deferred;
@@ -57,12 +56,6 @@ CoreEngine::CoreEngine(sim::EventLoop* loop, std::vector<sim::CpuCore*> cores,
 
 CeMessage CoreEngine::HandleControlMessage(CeMessage req) {
   switch (static_cast<CeOp>(req.ce_op)) {
-    case CeOp::kDeregisterVm:
-      DeregisterVmDevice(static_cast<uint8_t>(req.ce_data));
-      return {static_cast<uint32_t>(CeOp::kOk), req.ce_data};
-    case CeOp::kDeregisterNsm:
-      DeregisterNsmDevice(static_cast<uint8_t>(req.ce_data));
-      return {static_cast<uint32_t>(CeOp::kOk), req.ce_data};
     case CeOp::kAssignVmToNsm: {
       uint8_t vm = static_cast<uint8_t>(req.ce_data >> 8);
       uint8_t nsm = static_cast<uint8_t>(req.ce_data & 0xff);
@@ -81,17 +74,6 @@ CeMessage CoreEngine::HandleControlMessage(CeMessage req) {
       }
       return {static_cast<uint32_t>(CeOp::kOk), req.ce_data};
     }
-    case CeOp::kQueryVmStats: {
-      uint8_t vm = static_cast<uint8_t>(req.ce_data >> 8);
-      uint8_t field = static_cast<uint8_t>(req.ce_data & 0xff);
-      if (field > static_cast<uint8_t>(VmStatField::kDeferred)) {
-        return {static_cast<uint32_t>(CeOp::kError), req.ce_data};
-      }
-      uint64_t v = QueryVmStat(vm, static_cast<VmStatField>(field));
-      uint32_t saturated =
-          v > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(v);
-      return {static_cast<uint32_t>(CeOp::kOk), saturated};
-    }
     case CeOp::kHeartbeat: {
       uint8_t nsm = static_cast<uint8_t>(req.ce_data);
       if (nsms_[nsm].dev == nullptr) {
@@ -102,18 +84,18 @@ CeMessage CoreEngine::HandleControlMessage(CeMessage req) {
     }
     case CeOp::kQueryVmStatWide: {
       // Two-word read of the raw 64-bit counter: word 0 returns the low 32
-      // bits, word 1 the high 32 bits. No saturation, no KiB scaling.
+      // bits, word 1 the high 32 bits.
       uint8_t vm = static_cast<uint8_t>(req.ce_data >> 16);
       uint8_t field = static_cast<uint8_t>(req.ce_data >> 8);
       uint8_t word = static_cast<uint8_t>(req.ce_data & 0xff);
       if (field > static_cast<uint8_t>(VmStatField::kDeferred) || word > 1) {
         return {static_cast<uint32_t>(CeOp::kError), req.ce_data};
       }
-      uint64_t v = QueryVmStatRaw(vm, static_cast<VmStatField>(field));
+      uint64_t v = QueryVmStat(vm, static_cast<VmStatField>(field));
       uint32_t out = word == 0 ? static_cast<uint32_t>(v) : static_cast<uint32_t>(v >> 32);
       return {static_cast<uint32_t>(CeOp::kOk), out};
     }
-    // nklint-allow(switch-default): ce_op arrives as a raw uint32 from the guest-facing control channel; register ops need a device pointer and use the direct API below, and malformed values must land on kError, not UB.
+    // nklint-allow(switch-default): ce_op arrives as a raw uint32 from the guest-facing control channel; device registration needs a device pointer and uses the direct API below, and malformed or retired values must land on kError, not UB.
     default:
       return {static_cast<uint32_t>(CeOp::kError), req.ce_data};
   }
@@ -199,11 +181,6 @@ bool CoreEngine::AssignQueueSetToShard(uint8_t vm_id, uint8_t qset, int shard) {
 }
 
 uint64_t CoreEngine::QueryVmStat(uint8_t vm_id, VmStatField field) const {
-  const uint64_t raw = QueryVmStatRaw(vm_id, field);
-  return field == VmStatField::kBytesKiB ? raw >> 10 : raw;
-}
-
-uint64_t CoreEngine::QueryVmStatRaw(uint8_t vm_id, VmStatField field) const {
   return VmStats(vm_id).*VmStatCounter(field);
 }
 
@@ -859,14 +836,12 @@ bool CoreEngineShard::RouteNsmNqe(const Nqe& nqe, std::vector<Delivery>& plan) {
   d.slot = VmSlot(nqe.vm_id);
   d.qset = nqe.queue_set;
   if (d.qset >= reg->dev->num_queue_sets()) d.qset = 0;
-  d.ring = (op == NqeOp::kRecvData || op == NqeOp::kFinReceived ||
-            op == NqeOp::kDgramRecv || op == NqeOp::kDgramRecvZc)
+  d.ring = (op == NqeOp::kRecvData || op == NqeOp::kFinReceived || op == NqeOp::kDgramRecv)
                ? shm::RingKind::kReceive
                : shm::RingKind::kCompletion;
   d.nqe = nqe;
   PlanDelivery(d, plan);
-  if (validator.enabled() &&
-      (op == NqeOp::kDgramRecv || op == NqeOp::kDgramRecvZc)) {
+  if (validator.enabled() && op == NqeOp::kDgramRecv) {
     // Feed the datagram credit ledger: this much receive credit may later
     // legitimately come back from the guest via kRecvFrom.
     validator.OnDgramDelivered(nqe.vm_id, nqe.size);
@@ -909,10 +884,6 @@ bool CoreEngineShard::BuildErrorCompletion(const Nqe& orig, Delivery* out) {
     case NqeOp::kBind:
     case NqeOp::kBindUdp:
     case NqeOp::kListen:
-    case NqeOp::kSetsockopt:
-    case NqeOp::kGetsockopt:
-    case NqeOp::kIoctl:
-    case NqeOp::kShutdown:
       completion_op = NqeOp::kOpResult;
       break;
     case NqeOp::kClose:
@@ -931,10 +902,7 @@ bool CoreEngineShard::BuildErrorCompletion(const Nqe& orig, Delivery* out) {
     case NqeOp::kSendToResult:
     case NqeOp::kDgramRecv:
     case NqeOp::kSendZcComplete:
-    case NqeOp::kDgramRecvZc:
     case NqeOp::kNsmRehomed:
-    case NqeOp::kRegisterDevice:
-    case NqeOp::kDeregisterDevice:
     case NqeOp::kHeartbeat:
       // Not guest->nsm requests: nothing a guest could be answered for.
       return false;
@@ -1133,8 +1101,7 @@ bool CoreEngineShard::TryDeliver(const Delivery& d, std::vector<shm::NkDevice*>&
   // ~4 GB of phantom bytes per error FIN.
   NqeOp op = d.nqe.Op();
   if (op == NqeOp::kSend || op == NqeOp::kSendZc || op == NqeOp::kSendTo ||
-      op == NqeOp::kSendToZc || op == NqeOp::kRecvData || op == NqeOp::kDgramRecv ||
-      op == NqeOp::kDgramRecvZc) {
+      op == NqeOp::kSendToZc || op == NqeOp::kRecvData || op == NqeOp::kDgramRecv) {
     pv.bytes += d.nqe.size;
   }
   if (std::find(to_wake.begin(), to_wake.end(), d.dst) == to_wake.end()) {

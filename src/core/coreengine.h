@@ -87,26 +87,20 @@
 
 namespace netkernel::core {
 
-// Control-plane operations (8-byte network messages, paper §5).
+// Control-plane operations (8-byte network messages, paper §5). Devices
+// register and deregister through the direct CoreEngine API (a device is a
+// pointer, which an 8-byte message cannot carry); the channel carries only
+// placement, the per-VM counter read and NSM liveness.
 enum class CeOp : uint32_t {
-  kRegisterVm = 1,
-  kRegisterNsm = 2,
-  kDeregisterVm = 3,
-  kDeregisterNsm = 4,
   kAssignVmToNsm = 5,
   // ce_data = vm_id << 16 | queue_set << 8 | shard. Pins a VM queue set to a
   // switching shard (overrides hash placement and work-stealing moves it
   // back only if that shard overloads again).
   kAssignQsetToShard = 6,
-  // ce_data = vm_id << 8 | VmStatField. Response carries the (saturated)
-  // 32-bit counter in ce_data, so guests/operators read their own isolation
-  // counters over the same 8-byte channel used for registration.
-  kQueryVmStats = 7,
-  // Wide (64-bit) counter read over the same 8-byte channel: ce_data =
+  // Per-VM isolation counter read over the 8-byte channel: ce_data =
   // vm_id << 16 | VmStatField << 8 | word, where word selects the low (0) or
-  // high (1) 32 bits of the raw counter. Two reads assemble the full value,
-  // so counters past 2^32 (or 4 TiB of bytes — here reported raw, not KiB)
-  // stay readable where kQueryVmStats saturates.
+  // high (1) 32 bits of the raw 64-bit counter. Two reads assemble the full
+  // value (WideVmStat), so no counter ever saturates.
   kQueryVmStatWide = 8,
   // ce_data = nsm_id. Periodic NSM liveness beacon (the CeMessage twin of the
   // reserved NqeOp::kHeartbeat wire number): refreshes the NSM's health entry
@@ -121,13 +115,12 @@ constexpr uint64_t WideVmStat(uint32_t lo, uint32_t hi) {
   return (static_cast<uint64_t>(hi) << 32) | lo;
 }
 
-// Selector for kQueryVmStats. Bytes are reported in KiB so the 32-bit
-// response field covers ~4 TiB before saturating.
+// Selector for kQueryVmStatWide and QueryVmStat.
 enum class VmStatField : uint8_t {
   kSwitched = 0,
   kDropped = 1,
   kThrottled = 2,
-  kBytesKiB = 3,
+  kBytes = 3,
   kDeferred = 4,
 };
 
@@ -421,14 +414,11 @@ class CoreEngine {
   // queue set, deferred to the owning shard's round boundary if a delivery
   // plan is in flight. Returns false for an unknown VM/queue set/shard.
   bool AssignQueueSetToShard(uint8_t vm_id, uint8_t qset, int shard);
-  // Reads one per-VM counter over the 8-byte control channel (ROADMAP: the
-  // PerVmStats query op). Unknown VMs read as zero, like VmStats().
+  // One per-VM counter, as kQueryVmStatWide reads it. Unknown VMs read as
+  // zero, like VmStats().
   uint64_t QueryVmStat(uint8_t vm_id, VmStatField field) const;
-  // Raw (unscaled) counter for the wide read path: bytes are reported as
-  // bytes, not KiB, since two 32-bit words cover the full range.
-  uint64_t QueryVmStatRaw(uint8_t vm_id, VmStatField field) const;
-  // Test hook: inflates one per-VM counter on shard 0 so the 2^32 saturation
-  // regression is testable without switching four billion NQEs.
+  // Test hook: inflates one per-VM counter on shard 0 so the two-word read
+  // past 2^32 is testable without switching four billion NQEs.
   void AddVmStatForTest(uint8_t vm_id, VmStatField field, uint64_t delta);
 
   // ---- nkguard (adversarial-guest NQE validation) ----

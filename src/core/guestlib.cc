@@ -737,8 +737,7 @@ void GuestLib::ApplyInbound(const Nqe& nqe) {
     // Socket already closed; free any received chunk. A datagram NQE always
     // references a chunk — even a zero-length datagram rides in a minimal
     // allocation.
-    if (op == NqeOp::kDgramRecv || op == NqeOp::kDgramRecvZc ||
-        (op == NqeOp::kRecvData && nqe.size > 0)) {
+    if (op == NqeOp::kDgramRecv || (op == NqeOp::kRecvData && nqe.size > 0)) {
       FreeInboundChunk(nqe.data_ptr);
     }
     return;
@@ -776,10 +775,9 @@ void GuestLib::ApplyInbound(const Nqe& nqe) {
         g->err = static_cast<int32_t>(nqe.size);
       }
       break;
-    case NqeOp::kDgramRecvZc:
-      ++dgram_zc_recvs_;
-      [[fallthrough]];
     case NqeOp::kDgramRecv:
+      ++dgram_recvs_;
+      [[fallthrough]];
     case NqeOp::kRecvData:
       g->rx.push_back(RxChunk{nqe.data_ptr, nqe.size, 0, nqe.op_data});
       g->rx_bytes += nqe.size;
@@ -814,10 +812,6 @@ void GuestLib::ApplyInbound(const Nqe& nqe) {
     case NqeOp::kListen:
     case NqeOp::kConnect:
     case NqeOp::kAccept:
-    case NqeOp::kSetsockopt:
-    case NqeOp::kGetsockopt:
-    case NqeOp::kIoctl:
-    case NqeOp::kShutdown:
     case NqeOp::kClose:
     case NqeOp::kSend:
     case NqeOp::kSocketUdp:
@@ -826,8 +820,6 @@ void GuestLib::ApplyInbound(const Nqe& nqe) {
     case NqeOp::kRecvFrom:
     case NqeOp::kSendZc:
     case NqeOp::kSendToZc:
-    case NqeOp::kRegisterDevice:
-    case NqeOp::kDeregisterDevice:
     case NqeOp::kHeartbeat:
       // Request-direction and control ops never arrive on completion/receive
       // rings; a buggy or hostile NSM-side writer is ignored, not UB.

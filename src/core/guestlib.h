@@ -18,7 +18,7 @@
 //   * one loan path: SendBuf/SendToBuf submit a filled loan as kSendZc/
 //     kSendToZc through SubmitLoan, RecvBuf/RecvFromBuf loan out a received
 //     chunk through LoanRecv;
-//   * one receive queue: kRecvData and kDgramRecv[Zc] NQEs (receive queue)
+//   * one receive queue: kRecvData and kDgramRecv NQEs (receive queue)
 //     point at hugepage chunks that land in GSock::rx; recv() copies out and
 //     frees the chunk, returning receive credit;
 //   * epoll is served from GuestLib state exactly like nk_poll: readiness is
@@ -101,7 +101,7 @@ class GuestLib : public SocketApi {
                               netsim::IpAddr* src_ip, uint16_t* src_port) override;
   // Zero-copy datagrams: a TX loan travels as a kSendToZc NQE (credit returns
   // on kSendToResult once the NSM stack commits the wire datagram); an RX
-  // loan hands the kDgramRecv[Zc] chunk to the app, credit returning through
+  // loan hands the kDgramRecv chunk to the app, credit returning through
   // the kRecvFrom channel at ReleaseBuf.
   sim::Task<int64_t> SendToBuf(sim::CpuCore* core, int fd, netsim::IpAddr dst_ip,
                                uint16_t dst_port, NkBuf buf) override {
@@ -130,11 +130,11 @@ class GuestLib : public SocketApi {
   uint64_t zc_sends() const { return zc_sends_; }
   uint64_t zc_completions() const { return zc_completions_; }
   // Same conservation pair for zero-copy datagrams (kSendToZc issued vs
-  // kSendToResult completions whose original op was kSendToZc), plus the
-  // kDgramRecvZc chunks that arrived without a rcvbuf copy.
+  // kSendToResult completions whose original op was kSendToZc), plus every
+  // kDgramRecv chunk applied to an open socket.
   uint64_t dgram_zc_sends() const { return dgram_zc_sends_; }
   uint64_t dgram_zc_completions() const { return dgram_zc_completions_; }
-  uint64_t dgram_zc_recvs() const { return dgram_zc_recvs_; }
+  uint64_t dgram_recvs() const { return dgram_recvs_; }
   // Failover surface: kNsmRehomed notifications applied (datagram sockets
   // replayed onto the standby NSM) and stream sockets errored by an NSM
   // teardown FIN — each of the latter is a reconnect the application owes.
@@ -286,7 +286,7 @@ class GuestLib : public SocketApi {
   uint64_t zc_completions_ = 0;
   uint64_t dgram_zc_sends_ = 0;
   uint64_t dgram_zc_completions_ = 0;
-  uint64_t dgram_zc_recvs_ = 0;
+  uint64_t dgram_recvs_ = 0;
   uint64_t nsm_rehomes_ = 0;
   uint64_t guard_bad_frees_ = 0;
   uint64_t reconnects_required_ = 0;

@@ -252,7 +252,7 @@ void Host::BuildMetricsRegistry(obs::MetricsRegistry* registry) const {
     registry->RegisterCounter(gp + "dgram_zc_sends", [g] { return double(g->dgram_zc_sends()); });
     registry->RegisterCounter(gp + "dgram_zc_completions",
                               [g] { return double(g->dgram_zc_completions()); });
-    registry->RegisterCounter(gp + "dgram_zc_recvs", [g] { return double(g->dgram_zc_recvs()); });
+    registry->RegisterCounter(gp + "dgram_recvs", [g] { return double(g->dgram_recvs()); });
     registry->RegisterCounter(gp + "nsm_rehomes", [g] { return double(g->nsm_rehomes()); },
                               "kNsmRehomed notifications applied by this guest");
     registry->RegisterCounter(gp + "reconnects_required",
@@ -452,12 +452,9 @@ void Host::SetStandbyNsm(Nsm* nsm) {
   standby_ = nsm;
 }
 
-void Host::StartFailoverController(FailoverConfig config) {
-  NK_CHECK(config.heartbeat_period > 0 && config.check_period > 0);
-  NK_CHECK(config.miss_threshold >= 1);
-  failover_config_ = config;
+void Host::StartFailoverController() {
   failover_running_ = true;
-  for (auto& nsm : nsms_) nsm->service_->StartHeartbeat(config.heartbeat_period);
+  for (auto& nsm : nsms_) nsm->service_->StartHeartbeat(kHeartbeatPeriod);
   failover_timer_.Cancel();
   ScheduleFailoverCheck();
 }
@@ -470,7 +467,7 @@ void Host::StopFailoverController() {
 
 void Host::ScheduleFailoverCheck() {
   if (!failover_running_) return;
-  failover_timer_ = loop_->ScheduleAfter(failover_config_.check_period, [this] {
+  failover_timer_ = loop_->ScheduleAfter(kFailoverCheckPeriod, [this] {
     RunFailoverCheck();
     ScheduleFailoverCheck();
   });
@@ -478,7 +475,7 @@ void Host::ScheduleFailoverCheck() {
 
 void Host::RunFailoverCheck() {
   const SimTime now = loop_->Now();
-  const SimTime window = failover_config_.heartbeat_period + failover_config_.grace;
+  const SimTime window = kHeartbeatPeriod + kHeartbeatGrace;
   for (auto& owned : nsms_) {
     Nsm* nsm = owned.get();
     if (nsm == standby_) continue;  // the spare idles by design
@@ -493,7 +490,7 @@ void Host::RunFailoverCheck() {
     failover_recorder_->Record(obs::FlightEventType::kHeartbeatMiss, 0, 0,
                                static_cast<uint8_t>(shm::NqeOp::kHeartbeat), 0,
                                static_cast<uint64_t>(misses));
-    if (misses < failover_config_.miss_threshold) continue;
+    if (misses < kFailoverMissThreshold) continue;
     const uint64_t backlog = ce_->NsmBacklog(nsm->id());
     if (backlog > 0) {
       // Silent but with unconsumed ring backlog: the process is wedged

@@ -188,12 +188,11 @@ class Host {
   void SwitchNsm(Vm* vm, Nsm* nsm);
 
   // ---- NSM failover & rolling live upgrade ----
-  struct FailoverConfig {
-    SimTime heartbeat_period = 20 * kMicrosecond;  // NSM liveness beacon interval
-    SimTime check_period = 25 * kMicrosecond;      // controller poll interval
-    SimTime grace = 50 * kMicrosecond;             // slack past one beacon period
-    int miss_threshold = 3;  // consecutive silent checks before failover
-  };
+  // Controller timing, fixed for every host.
+  static constexpr SimTime kHeartbeatPeriod = 20 * kMicrosecond;  // NSM liveness beacon
+  static constexpr SimTime kFailoverCheckPeriod = 25 * kMicrosecond;  // controller poll
+  static constexpr SimTime kHeartbeatGrace = 50 * kMicrosecond;  // slack past one beacon
+  static constexpr int kFailoverMissThreshold = 3;  // silent checks before failover
   // Controller counters, registered under ce.* in BuildMetricsRegistry.
   // nklint: stats
   struct FailoverStats {
@@ -212,12 +211,12 @@ class Host {
   Nsm* standby_nsm() { return standby_; }
 
   // Starts heartbeats on every NSM and polls their health every
-  // check_period: an NSM silent (no beacon, no doorbell) for longer than
-  // heartbeat_period + grace accrues a miss; miss_threshold consecutive
-  // misses trigger FailoverNsm. Silent-with-backlog is flagged as wedged
-  // (stalled process) before the failover.
-  void StartFailoverController(FailoverConfig config);
-  void StartFailoverController() { StartFailoverController(FailoverConfig()); }
+  // kFailoverCheckPeriod: an NSM silent (no beacon, no doorbell) for longer
+  // than kHeartbeatPeriod + kHeartbeatGrace accrues a miss;
+  // kFailoverMissThreshold consecutive misses trigger FailoverNsm.
+  // Silent-with-backlog is flagged as wedged (stalled process) before the
+  // failover.
+  void StartFailoverController();
   void StopFailoverController();
 
   // Drain-and-replace of `sick` onto the registered standby — the rolling
@@ -307,7 +306,6 @@ class Host {
   // Failover controller state.
   Nsm* standby_ = nullptr;
   bool failover_running_ = false;
-  FailoverConfig failover_config_;
   FailoverStats failover_stats_;
   obs::Histogram blackout_us_;
   sim::EventHandle failover_timer_;

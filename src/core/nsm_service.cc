@@ -319,9 +319,8 @@ std::vector<Nqe> NsmService::SweepRings(const std::function<bool(const Nqe&)>& m
     sweep(q.job, fail_send);
     sweep(q.receive, [&](const Nqe& n) {
       shm::HugepagePool* pool = vms_[n.vm_id].pool;
-      if ((n.Op() == NqeOp::kRecvData || n.Op() == NqeOp::kDgramRecv ||
-           n.Op() == NqeOp::kDgramRecvZc) &&
-          pool != nullptr && pool->IsAllocated(n.data_ptr)) {
+      if ((n.Op() == NqeOp::kRecvData || n.Op() == NqeOp::kDgramRecv) && pool != nullptr &&
+          pool->IsAllocated(n.data_ptr)) {
         pool->Free(n.data_ptr);
       }
     });

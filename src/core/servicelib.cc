@@ -123,10 +123,6 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
     case NqeOp::kSendToZc:
     case NqeOp::kRecvFrom:
     case NqeOp::kClose:
-    case NqeOp::kSetsockopt:
-    case NqeOp::kGetsockopt:
-    case NqeOp::kIoctl:
-    case NqeOp::kShutdown:
       break;  // per-socket verbs: resolved against the conn table below
     case NqeOp::kInvalid:
     case NqeOp::kOpResult:
@@ -138,10 +134,7 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
     case NqeOp::kSendToResult:
     case NqeOp::kDgramRecv:
     case NqeOp::kSendZcComplete:
-    case NqeOp::kDgramRecvZc:
     case NqeOp::kNsmRehomed:
-    case NqeOp::kRegisterDevice:
-    case NqeOp::kDeregisterDevice:
     case NqeOp::kHeartbeat:
       return;  // excluded by the NsmService::Admit prefilter
   }
@@ -182,12 +175,6 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
     case NqeOp::kClose:
       DoClose(*c);
       break;
-    case NqeOp::kSetsockopt:
-    case NqeOp::kGetsockopt:
-    case NqeOp::kIoctl:
-    case NqeOp::kShutdown:
-      Respond(*c, NqeOp::kOpResult, nqe.Op(), 0);
-      break;
     case NqeOp::kSocket:
     case NqeOp::kSocketUdp:
     case NqeOp::kAccept:
@@ -201,10 +188,7 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
     case NqeOp::kSendToResult:
     case NqeOp::kDgramRecv:
     case NqeOp::kSendZcComplete:
-    case NqeOp::kDgramRecvZc:
     case NqeOp::kNsmRehomed:
-    case NqeOp::kRegisterDevice:
-    case NqeOp::kDeregisterDevice:
     case NqeOp::kHeartbeat:
       break;  // handled or excluded before the conn lookup
   }
@@ -676,7 +660,7 @@ void ServiceLib::ShipDgrams(udp::SocketId sid) {
     return;
   }
   // Zero-copy ship: the front datagram already sits in a chunk of this VM's
-  // pool — detach it and forward the handle as kDgramRecvZc.
+  // pool — detach it and forward the handle as kDgramRecv.
   if (udp_stack_->FrontDgramPooled(sid)) {
     c->ship_pending = true;
     udp_stack_->ChargeOnSocketCore(sid, 0, [this, sid, pool] {
@@ -693,7 +677,7 @@ void ServiceLib::ShipDgrams(udp::SocketId sid) {
         return;
       }
       ++dgram_zc_ships_;
-      Nqe nqe = MakeNqe(NqeOp::kDgramRecvZc, c2->vm_id, c2->vm_qset, c2->vm_sock,
+      Nqe nqe = MakeNqe(NqeOp::kDgramRecv, c2->vm_id, c2->vm_qset, c2->vm_sock,
                         shm::PackAddr(src_ip, src_port), handle, len);
       if (EnqueueToVm(*c2, nqe, true)) {
         c2->rx_outstanding += len;

@@ -70,7 +70,8 @@ class ServiceLib : public NsmService {
   // the front chunk was partially consumed.
   uint64_t rx_zc_ships() const { return rx_zc_ships_; }
   uint64_t rx_copy_ships() const { return rx_copy_ships_; }
-  // Same split for datagrams (kDgramRecvZc vs copied kDgramRecv).
+  // Same split for datagrams: kDgramRecv ships of a detached chunk vs of a
+  // rcvbuf copy.
   uint64_t dgram_zc_ships() const { return dgram_zc_ships_; }
   uint64_t dgram_copy_ships() const { return dgram_copy_ships_; }
 

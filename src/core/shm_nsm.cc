@@ -75,10 +75,6 @@ void ShmServiceLib::Dispatch(const Nqe& nqe) {
     case NqeOp::kSendToZc:
     case NqeOp::kRecvFrom:
     case NqeOp::kClose:
-    case NqeOp::kSetsockopt:
-    case NqeOp::kGetsockopt:
-    case NqeOp::kIoctl:
-    case NqeOp::kShutdown:
       break;  // per-socket verbs: resolved against the endpoint table below
     case NqeOp::kInvalid:
     case NqeOp::kOpResult:
@@ -90,10 +86,7 @@ void ShmServiceLib::Dispatch(const Nqe& nqe) {
     case NqeOp::kSendToResult:
     case NqeOp::kDgramRecv:
     case NqeOp::kSendZcComplete:
-    case NqeOp::kDgramRecvZc:
     case NqeOp::kNsmRehomed:
-    case NqeOp::kRegisterDevice:
-    case NqeOp::kDeregisterDevice:
     case NqeOp::kHeartbeat:
       return;  // excluded by the NsmService::Admit prefilter
   }
@@ -146,12 +139,7 @@ void ShmServiceLib::Dispatch(const Nqe& nqe) {
     }
     case NqeOp::kBindUdp:
     case NqeOp::kRecvFrom:
-    case NqeOp::kSetsockopt:
-    case NqeOp::kGetsockopt:
-    case NqeOp::kIoctl:
-    case NqeOp::kShutdown:
-      // Setsockopt-family verbs (and dgram verbs with no transport behind
-      // them) get a benign kOpResult.
+      // Datagram verbs with no transport behind them get a benign kOpResult.
       Respond(*ep, NqeOp::kOpResult, nqe.Op(), 0);
       return;
     case NqeOp::kSocket:
@@ -167,10 +155,7 @@ void ShmServiceLib::Dispatch(const Nqe& nqe) {
     case NqeOp::kSendToResult:
     case NqeOp::kDgramRecv:
     case NqeOp::kSendZcComplete:
-    case NqeOp::kDgramRecvZc:
     case NqeOp::kNsmRehomed:
-    case NqeOp::kRegisterDevice:
-    case NqeOp::kDeregisterDevice:
     case NqeOp::kHeartbeat:
       return;  // handled or excluded before the endpoint lookup
   }

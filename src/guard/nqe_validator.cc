@@ -34,10 +34,6 @@ bool IsSendRingOp(NqeOp op) {
     case NqeOp::kListen:
     case NqeOp::kConnect:
     case NqeOp::kAccept:
-    case NqeOp::kSetsockopt:
-    case NqeOp::kGetsockopt:
-    case NqeOp::kIoctl:
-    case NqeOp::kShutdown:
     case NqeOp::kClose:
     case NqeOp::kSocketUdp:
     case NqeOp::kBindUdp:
@@ -51,10 +47,7 @@ bool IsSendRingOp(NqeOp op) {
     case NqeOp::kSendToResult:
     case NqeOp::kDgramRecv:
     case NqeOp::kSendZcComplete:
-    case NqeOp::kDgramRecvZc:
     case NqeOp::kNsmRehomed:
-    case NqeOp::kRegisterDevice:
-    case NqeOp::kDeregisterDevice:
     case NqeOp::kHeartbeat:
       return false;
   }
@@ -68,10 +61,6 @@ bool IsJobRingOp(NqeOp op) {
     case NqeOp::kListen:
     case NqeOp::kConnect:
     case NqeOp::kAccept:
-    case NqeOp::kSetsockopt:
-    case NqeOp::kGetsockopt:
-    case NqeOp::kIoctl:
-    case NqeOp::kShutdown:
     case NqeOp::kClose:
     case NqeOp::kSocketUdp:
     case NqeOp::kBindUdp:
@@ -91,10 +80,7 @@ bool IsJobRingOp(NqeOp op) {
     case NqeOp::kSendToResult:
     case NqeOp::kDgramRecv:
     case NqeOp::kSendZcComplete:
-    case NqeOp::kDgramRecvZc:
     case NqeOp::kNsmRehomed:
-    case NqeOp::kRegisterDevice:
-    case NqeOp::kDeregisterDevice:
     case NqeOp::kHeartbeat:
       return false;
   }
@@ -114,7 +100,6 @@ bool IsNsmToGuestOp(NqeOp op) {
     case NqeOp::kSendToResult:
     case NqeOp::kDgramRecv:
     case NqeOp::kSendZcComplete:
-    case NqeOp::kDgramRecvZc:
     case NqeOp::kNsmRehomed:
       return true;
     case NqeOp::kInvalid:
@@ -123,10 +108,6 @@ bool IsNsmToGuestOp(NqeOp op) {
     case NqeOp::kListen:
     case NqeOp::kConnect:
     case NqeOp::kAccept:
-    case NqeOp::kSetsockopt:
-    case NqeOp::kGetsockopt:
-    case NqeOp::kIoctl:
-    case NqeOp::kShutdown:
     case NqeOp::kClose:
     case NqeOp::kSend:
     case NqeOp::kSocketUdp:
@@ -135,8 +116,6 @@ bool IsNsmToGuestOp(NqeOp op) {
     case NqeOp::kRecvFrom:
     case NqeOp::kSendZc:
     case NqeOp::kSendToZc:
-    case NqeOp::kRegisterDevice:
-    case NqeOp::kDeregisterDevice:
     case NqeOp::kHeartbeat:
       return false;
   }

@@ -12,16 +12,11 @@ std::string NqeOpName(NqeOp op) {
     case NqeOp::kListen: return "listen";
     case NqeOp::kConnect: return "connect";
     case NqeOp::kAccept: return "accept";
-    case NqeOp::kSetsockopt: return "setsockopt";
-    case NqeOp::kGetsockopt: return "getsockopt";
-    case NqeOp::kIoctl: return "ioctl";
-    case NqeOp::kShutdown: return "shutdown";
     case NqeOp::kClose: return "close";
     case NqeOp::kSend: return "send";
     case NqeOp::kSendZc: return "send_zc";
     case NqeOp::kSendZcComplete: return "send_zc_complete";
     case NqeOp::kSendToZc: return "sendto_zc";
-    case NqeOp::kDgramRecvZc: return "dgram_recv_zc";
     case NqeOp::kSocketUdp: return "socket_udp";
     case NqeOp::kBindUdp: return "bind_udp";
     case NqeOp::kSendTo: return "sendto";
@@ -35,8 +30,6 @@ std::string NqeOpName(NqeOp op) {
     case NqeOp::kSendToResult: return "sendto_result";
     case NqeOp::kDgramRecv: return "dgram_recv";
     case NqeOp::kNsmRehomed: return "nsm_rehomed";
-    case NqeOp::kRegisterDevice: return "register_device";
-    case NqeOp::kDeregisterDevice: return "deregister_device";
     case NqeOp::kHeartbeat: return "heartbeat";
   }
   return "unknown";

@@ -13,6 +13,11 @@
 // connection ID. `data_ptr` is an offset into the shared hugepage region and
 // `size` the length of the data it points at.
 //
+// The op set holds only ops something sends. Retired values (6-9, 41, 64,
+// 65) stay unassigned and must not be reused, so a stale or hostile writer of
+// one meets nkguard's bad_op reject like any other hole in the numbering.
+// Device registration rides the direct CoreEngine API, not an NQE.
+//
 // ---- nklint annotation grammar (this header is the source of truth) ----
 // Every NqeOp enumerator carries a machine-readable contract annotation,
 // either trailing the enumerator or on the comment line directly above it:
@@ -69,14 +74,6 @@ enum class NqeOp : uint8_t {
   kConnect = 4,
   // nklint: dir=guest->nsm guard=job completion=kAcceptedConn
   kAccept = 5,  // pipelined: NSM replies as connections arrive
-  // nklint: dir=guest->nsm guard=job completion=kOpResult
-  kSetsockopt = 6,
-  // nklint: dir=guest->nsm guard=job completion=kOpResult
-  kGetsockopt = 7,
-  // nklint: dir=guest->nsm guard=job completion=kOpResult
-  kIoctl = 8,
-  // nklint: dir=guest->nsm guard=job completion=kOpResult
-  kShutdown = 9,
   // nklint: dir=guest->nsm guard=job
   kClose = 10,  // fire-and-forget: no guest thread waits on a close
   // nklint: dir=guest->nsm guard=send carries-chunk completion=kSendResult reclaim=kSendResult
@@ -118,8 +115,12 @@ enum class NqeOp : uint8_t {
   kFinReceived = 37,    // receive queue: peer closed
   // nklint: dir=nsm->guest ring=completion
   kSendToResult = 38,   // completion queue: datagram sent, send credit returned
+  // Datagram payload, op_data = packed source. The chunk either was detached
+  // from the UDP stack's receive queue (zero-copy) or holds a rcvbuf copy;
+  // guests apply both alike, and the NSM's svc.dgram_{zc,copy}_ships
+  // counters keep the split visible.
   // nklint: dir=nsm->guest ring=receive carries-chunk
-  kDgramRecv = 39,      // receive queue: datagram payload; op_data = packed source
+  kDgramRecv = 39,      // receive queue
   // Zero-copy send completion: the kSendZc byte range was ACKed (or failed).
   // op_data = send-credit bytes to return; size = status (0 or negative
   // errno). The chunk was freed into the shared pool by the NSM — unless
@@ -127,13 +128,6 @@ enum class NqeOp : uint8_t {
   // error), in which case the guest still owns it and must free it.
   // nklint: dir=nsm->guest ring=completion
   kSendZcComplete = 40,  // completion queue
-  // Zero-copy datagram receive: identical shape to kDgramRecv (op_data =
-  // packed source, data_ptr/size = payload chunk) but the chunk was detached
-  // from the UDP stack's receive queue — it never crossed a rcvbuf->hugepage
-  // copy. Guests treat both alike; the distinct op keeps the fallback copy
-  // path observable end to end.
-  // nklint: dir=nsm->guest ring=receive carries-chunk
-  kDgramRecvZc = 41,  // receive queue
   // Failover notification: the VM's NSM died (or was drained for a rolling
   // upgrade) and the VM was re-homed onto the standby NSM. vm_sock is 0 — the
   // event is per-VM, not per-socket. op_data carries the new NSM id. GuestLib
@@ -142,16 +136,6 @@ enum class NqeOp : uint8_t {
   // already errored with FINs by the switch (see `reconnects_required`).
   // nklint: dir=nsm->guest ring=completion
   kNsmRehomed = 42,  // completion queue
-  // Control plane (CoreEngine registration channel, §5). These reserve the
-  // paper's wire numbers; the reproduction's control plane rides the typed
-  // CeMessage channel (CoreEngine::HandleControlMessage) instead of NQEs, so
-  // nothing routes them today.
-  // nklint-allow(op-routing): control plane rides the CeMessage channel; these reserve §5 wire numbers only.
-  // nklint: dir=control
-  kRegisterDevice = 64,
-  // nklint-allow(op-routing): control plane rides the CeMessage channel; these reserve §5 wire numbers only.
-  // nklint: dir=control
-  kDeregisterDevice = 65,
   // NSM liveness heartbeat (§5 wire number). The reproduction's heartbeats
   // ride the CeMessage channel (CeOp::kHeartbeat -> RecordNsmHeartbeat); the
   // health-miss flight events stamp this op byte so a post-mortem tail names

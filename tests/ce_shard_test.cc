@@ -4,7 +4,7 @@
 // migration, weighted fairness when the competing VMs live on different
 // shards, the NSM-deregistration race with parked deliveries spread over
 // shards, a mixed stream/datagram socket table across a migration and NSM
-// death, scheduler-state cleanup on VM deregistration, the kQueryVmStats
+// death, scheduler-state cleanup on VM deregistration, the kQueryVmStatWide
 // control op, near-linear multi-shard switching throughput, and coalesced
 // NSM-side wakeups.
 
@@ -441,7 +441,7 @@ TEST(CeShardTest, DeregisterVmClearsSchedulerState) {
 }
 
 // ---------------------------------------------------------------------------
-// kQueryVmStats: per-VM isolation counters over the 8-byte control channel.
+// kQueryVmStatWide: per-VM isolation counters over the 8-byte control channel.
 // ---------------------------------------------------------------------------
 
 TEST(CeShardTest, QueryVmStatsControlOp) {
@@ -461,27 +461,28 @@ TEST(CeShardTest, QueryVmStatsControlOp) {
   h.ce_->NotifyVmOutbound(1);
   h.RunFor(kMillisecond);
 
-  auto query = [&](VmStatField f) {
-    CeMessage resp = h.ce_->HandleControlMessage(
-        {static_cast<uint32_t>(CeOp::kQueryVmStats),
-         (1u << 8) | static_cast<uint32_t>(f)});
-    EXPECT_EQ(resp.ce_op, static_cast<uint32_t>(CeOp::kOk));
-    return resp.ce_data;
+  auto query = [&](uint8_t vm, VmStatField f) {
+    uint32_t words[2];
+    for (uint32_t w = 0; w < 2; ++w) {
+      CeMessage resp = h.ce_->HandleControlMessage(
+          {static_cast<uint32_t>(CeOp::kQueryVmStatWide),
+           (uint32_t(vm) << 16) | (static_cast<uint32_t>(f) << 8) | w});
+      EXPECT_EQ(resp.ce_op, static_cast<uint32_t>(CeOp::kOk));
+      words[w] = resp.ce_data;
+    }
+    return WideVmStat(words[0], words[1]);
   };
   PerVmStats direct = h.ce_->VmStats(1);
   ASSERT_GT(direct.switched, 0u);
-  EXPECT_EQ(query(VmStatField::kSwitched), direct.switched);
-  EXPECT_EQ(query(VmStatField::kDropped), direct.dropped);
-  EXPECT_EQ(query(VmStatField::kBytesKiB), direct.bytes >> 10);
-  EXPECT_EQ(query(VmStatField::kDeferred), direct.deferred);
+  EXPECT_EQ(query(1, VmStatField::kSwitched), direct.switched);
+  EXPECT_EQ(query(1, VmStatField::kDropped), direct.dropped);
+  EXPECT_EQ(query(1, VmStatField::kBytes), direct.bytes);
+  EXPECT_EQ(query(1, VmStatField::kDeferred), direct.deferred);
   // Unknown field selector is rejected; unknown VM reads as zero.
   CeMessage bad = h.ce_->HandleControlMessage(
-      {static_cast<uint32_t>(CeOp::kQueryVmStats), (1u << 8) | 200u});
+      {static_cast<uint32_t>(CeOp::kQueryVmStatWide), (1u << 16) | (200u << 8)});
   EXPECT_EQ(bad.ce_op, static_cast<uint32_t>(CeOp::kError));
-  CeMessage unknown_vm = h.ce_->HandleControlMessage(
-      {static_cast<uint32_t>(CeOp::kQueryVmStats), (42u << 8) | 0u});
-  EXPECT_EQ(unknown_vm.ce_op, static_cast<uint32_t>(CeOp::kOk));
-  EXPECT_EQ(unknown_vm.ce_data, 0u);
+  EXPECT_EQ(query(42, VmStatField::kSwitched), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -515,7 +516,7 @@ TEST(CeShardTest, ServiceLibCoalescesDoorbells) {
   host.ce().AssignVmToNsm(99, nsm->id());
   nsm->servicelib()->AttachVm(99, &pool, /*vm_ip=*/1234);
 
-  // Create a TCP socket, then fire a burst of control ops on it. ServiceLib
+  // Create a TCP socket, then fire a burst of binds on it. ServiceLib
   // dispatches the burst in one round and answers each op; the responses
   // must share one doorbell.
   vm_dev.queue_set(0).job.TryEnqueue(MakeNqe(NqeOp::kSocket, 99, 0, 1));
@@ -527,7 +528,8 @@ TEST(CeShardTest, ServiceLibCoalescesDoorbells) {
 
   constexpr int kBurst = 8;
   for (int i = 0; i < kBurst; ++i) {
-    vm_dev.queue_set(0).job.TryEnqueue(MakeNqe(NqeOp::kSetsockopt, 99, 0, 1));
+    vm_dev.queue_set(0).job.TryEnqueue(
+        MakeNqe(NqeOp::kBind, 99, 0, 1, shm::PackAddr(1234, 7000)));
   }
   host.ce().NotifyVmOutbound(99);
   loop.Run(loop.Now() + kMillisecond);

@@ -247,7 +247,7 @@ IterationResult RunIteration(uint64_t seed) {
     spares.push_back(host_a.CreateNsm("spare1", 2, NsmKind::kKernel));
     Nsm* spare0 = host_a.CreateNsm("spare0", 2, NsmKind::kKernel);
     host_a.SetStandbyNsm(spare0);
-    host_a.StartFailoverController(Host::FailoverConfig());
+    host_a.StartFailoverController();
   }
 
   auto fds = std::make_shared<std::vector<int>>();

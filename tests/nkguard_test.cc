@@ -38,15 +38,13 @@ using shm::NqeOp;
 
 TEST(NkGuard, AdmissionTablesPartitionTheOpSpace) {
   const NqeOp send_ops[] = {NqeOp::kSend, NqeOp::kSendZc, NqeOp::kSendTo, NqeOp::kSendToZc};
-  const NqeOp job_ops[] = {NqeOp::kSocket,  NqeOp::kBind,       NqeOp::kListen,
-                           NqeOp::kConnect, NqeOp::kAccept,     NqeOp::kSetsockopt,
-                           NqeOp::kGetsockopt, NqeOp::kIoctl,   NqeOp::kShutdown,
-                           NqeOp::kClose,   NqeOp::kSocketUdp,  NqeOp::kBindUdp,
-                           NqeOp::kRecvFrom};
+  const NqeOp job_ops[] = {NqeOp::kSocket,    NqeOp::kBind,    NqeOp::kListen,
+                           NqeOp::kConnect,   NqeOp::kAccept,  NqeOp::kClose,
+                           NqeOp::kSocketUdp, NqeOp::kBindUdp, NqeOp::kRecvFrom};
   const NqeOp nsm_ops[] = {NqeOp::kOpResult,     NqeOp::kConnectResult, NqeOp::kAcceptedConn,
                            NqeOp::kSendResult,   NqeOp::kRecvData,      NqeOp::kFinReceived,
                            NqeOp::kSendToResult, NqeOp::kDgramRecv,     NqeOp::kSendZcComplete,
-                           NqeOp::kDgramRecvZc,  NqeOp::kNsmRehomed};
+                           NqeOp::kNsmRehomed};
   for (NqeOp op : send_ops) {
     EXPECT_TRUE(guard::IsSendRingOp(op));
     EXPECT_FALSE(guard::IsJobRingOp(op));
@@ -64,12 +62,11 @@ TEST(NkGuard, AdmissionTablesPartitionTheOpSpace) {
     EXPECT_FALSE(guard::IsGuestToNsmOp(op));
   }
   // Control-plane ops ride the 8-byte control channel, never a guest ring.
-  for (NqeOp op : {NqeOp::kRegisterDevice, NqeOp::kDeregisterDevice, NqeOp::kHeartbeat}) {
-    EXPECT_FALSE(guard::IsGuestToNsmOp(op));
-    EXPECT_FALSE(guard::IsNsmToGuestOp(op));
-  }
-  // Non-enumerator bytes (holes in the wire numbering) are admitted nowhere.
-  for (uint8_t hole : {0, 18, 29, 31, 43, 55, 63, 67, 130, 255}) {
+  EXPECT_FALSE(guard::IsGuestToNsmOp(NqeOp::kHeartbeat));
+  EXPECT_FALSE(guard::IsNsmToGuestOp(NqeOp::kHeartbeat));
+  // Non-enumerator bytes (holes in the wire numbering, retired values
+  // included) are admitted nowhere.
+  for (uint8_t hole : {0, 6, 7, 8, 9, 18, 29, 31, 41, 43, 55, 63, 64, 65, 67, 130, 255}) {
     const NqeOp op = static_cast<NqeOp>(hole);
     if (op == NqeOp::kInvalid || guard::IsGuestToNsmOp(op)) {
       EXPECT_EQ(hole, 0u);  // only kInvalid may collide with this list
@@ -84,7 +81,7 @@ TEST(NkGuard, AdmissionTablesPartitionTheOpSpace) {
 
 TEST(NkGuard, ScrubZeroesGuestWrittenFlagBytesButKeepsTraceId) {
   NqeValidator v;
-  Nqe nqe = MakeNqe(NqeOp::kGetsockopt, 1, 0, 7);
+  Nqe nqe = MakeNqe(NqeOp::kSocket, 1, 0, 7);
   nqe.reserved[0] = 0xaa;  // orig-op echo: infrastructure-owned
   nqe.reserved[1] = 0xbb;  // unconsumed-chunk flag: infrastructure-owned
   nqe.reserved[2] = 0xcc;  // NSM processing qset: infrastructure-owned
@@ -122,6 +119,57 @@ TEST(NkGuard, RejectsOpsOnTheWrongRing) {
   EXPECT_EQ(v.ValidateGuestNqe(&hole, false, 1, 0), Verdict::kBadOp);
   Nqe ok = MakeNqe(NqeOp::kClose, 1, 0, 7);
   EXPECT_EQ(v.ValidateGuestNqe(&ok, false, 1, 0), Verdict::kOk);
+}
+
+// Retired op values (6-9: the old setsockopt family, 41: the old zero-copy
+// datagram receive, 64-65: the old device registration numbers) are holes in
+// the wire numbering now. On live rings the switch refuses them as bad_op and
+// never hands them on; the retired control-plane ops land on kError.
+TEST(NkGuard, RetiredOpsAreRefusedOnLiveRings) {
+  sim::EventLoop loop;
+  sim::CpuCore core(&loop, "ce");
+  core::CoreEngine ce(&loop, &core);
+  shm::NkDevice vm_dev("vm", 1);
+  shm::NkDevice nsm_dev("nsm", 1);
+  ce.RegisterNsmDevice(1, &nsm_dev);
+  ce.RegisterVmDevice(1, &vm_dev);
+  ce.AssignVmToNsm(1, 1);
+
+  for (uint8_t op = 6; op <= 9; ++op) {
+    ASSERT_TRUE(vm_dev.queue_set(0).job.TryEnqueue(MakeNqe(static_cast<NqeOp>(op), 1, 0, 1)));
+  }
+  ce.NotifyVmOutbound(1);
+  loop.Run(loop.Now() + kMillisecond);
+  EXPECT_EQ(ce.validator().stats().bad_op, 4u);
+  EXPECT_EQ(ce.validator().stats().validated, 0u);
+  EXPECT_TRUE(nsm_dev.queue_set(0).job.Empty()) << "a retired op reached the NSM";
+  EXPECT_TRUE(vm_dev.queue_set(0).job.Empty());
+  EXPECT_TRUE(vm_dev.queue_set(0).completion.Empty());
+
+  for (uint8_t op : {41, 65}) {
+    ASSERT_TRUE(
+        nsm_dev.queue_set(0).receive.TryEnqueue(MakeNqe(static_cast<NqeOp>(op), 1, 0, 1)));
+  }
+  ce.NotifyNsmOutbound(1);
+  loop.Run(loop.Now() + kMillisecond);
+  EXPECT_EQ(ce.validator().stats().nsm_bad_op, 2u);
+  EXPECT_TRUE(nsm_dev.queue_set(0).receive.Empty());
+  EXPECT_TRUE(vm_dev.queue_set(0).receive.Empty()) << "a retired op reached the guest";
+
+  // ce_op 3 (a VM deregistration) and 7 (a saturating counter read) are
+  // retired values.
+  for (const core::CeMessage req : {core::CeMessage{3, 1}, core::CeMessage{7, (1u << 8) | 0u}}) {
+    EXPECT_EQ(ce.HandleControlMessage(req).ce_op, static_cast<uint32_t>(core::CeOp::kError))
+        << "ce_op " << req.ce_op;
+  }
+  // The VM is still registered and routable.
+  ASSERT_TRUE(vm_dev.queue_set(0).job.TryEnqueue(MakeNqe(NqeOp::kSocketUdp, 1, 0, 1)));
+  ce.NotifyVmOutbound(1);
+  loop.Run(loop.Now() + kMillisecond);
+  Nqe got;
+  ASSERT_TRUE(nsm_dev.queue_set(0).job.TryDequeue(&got));
+  EXPECT_EQ(got.Op(), NqeOp::kSocketUdp);
+  EXPECT_EQ(got.vm_id, 1);
 }
 
 TEST(NkGuard, ForgedIdentityIsRejectedAndPinnedToTheDevice) {
@@ -425,7 +473,10 @@ TEST(NkGuard, QuarantineTearsDownBothSocketKindsAndBothRecover) {
   sim::Spawn(DgramBlast(peer, vm->ip(), 7000, 32));
   loop.Run(loop.Now() + 10 * kMillisecond);
   ASSERT_GT(gl->zc_sends(), gl->zc_completions()) << "no stream chunks in flight";
-  ASSERT_GT(udp->stats().rx_zc_landed, gl->dgram_zc_recvs())
+  // Every datagram shipped so far detached its pool chunk, so dgram_recvs
+  // counts exactly the zero-copy receives the bounds below rely on.
+  ASSERT_EQ(nsm->servicelib()->dgram_copy_ships(), 0u);
+  ASSERT_GT(udp->stats().rx_zc_landed, gl->dgram_recvs())
       << "no unread datagrams parked in the NSM";
 
   // One teardown walks both socket kinds: the stream is aborted (its zc
@@ -439,7 +490,8 @@ TEST(NkGuard, QuarantineTearsDownBothSocketKindsAndBothRecover) {
   for (int qs = 0; qs < vm->dev()->num_queue_sets(); ++qs) {
     guest_queued += vm->dev()->queue_set(qs).send.Size();
   }
-  EXPECT_LE(vm->pool()->chunks_in_use(), guest_queued + gl->dgram_zc_recvs() + 1);
+  ASSERT_EQ(nsm->servicelib()->dgram_copy_ships(), 0u);
+  EXPECT_LE(vm->pool()->chunks_in_use(), guest_queued + gl->dgram_recvs() + 1);
   EXPECT_EQ(host_a.ce().SocketTableSize(), 0u);
 
   // Both socket kinds round-trip again once the VM is back.

@@ -1,6 +1,6 @@
 // Fixture: control-plane ops and a registry-backed stats struct.
 enum class CeOp : uint32_t {
-  kRegisterVm = 1,
+  kAssignVmToNsm = 5,
   kOk = 100,
   kError = 101,
 };

@@ -4,7 +4,7 @@
 // Each fixture under tests/nklint_fixtures/ is a miniature source tree
 // mirroring the real layout (src/shm/nqe.h, src/core/*.cc, src/obs/*).
 // `clean` is fully wired; every other tree seeds exactly one contract
-// violation, and the tests assert nklint reports it — and nothing else —
+// violation (or one stale suppression), and the tests assert nklint reports it — and nothing else —
 // under the right check name. The last test is the real gate: the actual
 // repository tree must lint clean.
 
@@ -84,6 +84,15 @@ TEST(NkLintFixtures, BadSuppressionIsDetected) {
   EXPECT_NE(diags[0].message.find("no-such-check"), std::string::npos) << diags[0].message;
 }
 
+TEST(NkLintFixtures, StaleSuppressionIsDetected) {
+  const auto diags = RunFixture("stale_suppression");
+  ASSERT_EQ(diags.size(), 1u) << Dump(diags);
+  EXPECT_EQ(diags[0].check, "stale-suppression");
+  EXPECT_EQ(diags[0].file, "src/core/guestlib.cc");
+  EXPECT_EQ(diags[0].line, 4);
+  EXPECT_NE(diags[0].message.find("switch-default"), std::string::npos) << diags[0].message;
+}
+
 TEST(NkLint, DiagnosticFormatIsGreppable) {
   const Diagnostic d{"src/shm/nqe.h", 42, "op-routing", "kFoo is unrouted"};
   EXPECT_EQ(nklint::Format(d), "src/shm/nqe.h:42: op-routing: kFoo is unrouted");
@@ -95,9 +104,10 @@ TEST(NkLint, CheckNameRegistry) {
                             "switch-default", "guard-coverage"}) {
     EXPECT_TRUE(nklint::IsKnownCheck(check)) << check;
   }
-  // bad-suppression cannot itself be suppressed, so it is not a valid
-  // nklint-allow argument.
+  // bad-suppression and stale-suppression cannot themselves be suppressed,
+  // so they are not valid nklint-allow arguments.
   EXPECT_FALSE(nklint::IsKnownCheck("bad-suppression"));
+  EXPECT_FALSE(nklint::IsKnownCheck("stale-suppression"));
   EXPECT_FALSE(nklint::IsKnownCheck("no-such-check"));
 }
 

@@ -59,7 +59,7 @@ TEST(Nqe, AddrPacking) {
 TEST(Nqe, OpNamesAreDistinct) {
   EXPECT_EQ(NqeOpName(NqeOp::kSend), "send");
   EXPECT_EQ(NqeOpName(NqeOp::kRecvData), "recv_data");
-  EXPECT_EQ(NqeOpName(NqeOp::kRegisterDevice), "register_device");
+  EXPECT_EQ(NqeOpName(NqeOp::kHeartbeat), "heartbeat");
 }
 
 // ---------------------------------------------------------------------------

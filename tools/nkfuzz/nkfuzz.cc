@@ -145,7 +145,11 @@ void InjectMutation(Host& host, Vm* nk, uint64_t mseed, int k, FuzzResult* res) 
     return;
   }
 
-  Nqe nqe = shm::MakeNqe(NqeOp::kGetsockopt, nk->id(), qsi, sock);
+  // The base op is a datagram bind on a socket no one holds: once admitted,
+  // the switch forwards it statelessly and the NSM drops it as naming no
+  // socket, so the categories that keep it probe the guard without touching
+  // live socket state.
+  Nqe nqe = shm::MakeNqe(NqeOp::kBindUdp, nk->id(), qsi, sock);
   bool to_send_ring = false;
   bool invalid = true;
   // Rejected zc-send forgeries draw synthesized completions the guest counts
@@ -164,13 +168,14 @@ void InjectMutation(Host& host, Vm* nk, uint64_t mseed, int k, FuzzResult* res) 
     }
     case 1: {  // control/job op on the send ring
       static constexpr NqeOp kNotSends[] = {NqeOp::kSocket, NqeOp::kClose, NqeOp::kConnect,
-                                            NqeOp::kHeartbeat, NqeOp::kDeregisterDevice};
+                                            NqeOp::kHeartbeat, NqeOp::kListen};
       nqe.SetOp(Pick(r, kNotSends));
       to_send_ring = true;
       break;
     }
     case 2: {  // non-enumerator op byte (holes in the wire numbering)
-      static constexpr uint8_t kHoles[] = {18, 29, 31, 43, 55, 63, 67, 130, 255};
+      static constexpr uint8_t kHoles[] = {6,  7,  8,  9,  18, 29, 31,  41,
+                                           43, 55, 63, 64, 65, 67, 130, 255};
       nqe.op = kHoles[r.NextBounded(sizeof(kHoles))];
       to_send_ring = r.NextBool(0.5);
       break;

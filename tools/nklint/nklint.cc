@@ -12,6 +12,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace fs = std::filesystem;
@@ -146,6 +147,8 @@ struct Allow {
 struct Suppressions {
   // (file, line) -> allowed check names on that line.
   std::map<std::pair<std::string, int>, std::vector<std::string>> allows;
+  // (file, line, check) of every allow that suppressed a diagnostic.
+  std::set<std::tuple<std::string, int, std::string>> used;
   std::vector<Diagnostic> bad;  // bad-suppression diagnostics
 };
 
@@ -180,13 +183,16 @@ void CollectSuppressions(const SourceFile& f, Suppressions* out) {
 
 // A diagnostic at (file, line) is suppressed by an allow on that line or on
 // the run of comment-only lines directly above it — the natural place for a
-// `// nklint-allow(...)` next to a documented exception.
-bool Suppressed(const Diagnostic& d, const Suppressions& sup,
+// `// nklint-allow(...)` next to a documented exception. The allow that
+// suppresses it is marked used.
+bool Suppressed(const Diagnostic& d, Suppressions& sup,
                 const std::map<std::string, SourceFile>& files) {
   auto allowed_at = [&](int line) {
     auto it = sup.allows.find({d.file, line});
     if (it == sup.allows.end()) return false;
-    return std::find(it->second.begin(), it->second.end(), d.check) != it->second.end();
+    if (std::find(it->second.begin(), it->second.end(), d.check) == it->second.end()) return false;
+    sup.used.emplace(d.file, line, d.check);
+    return true;
   };
   if (allowed_at(d.line)) return true;
   auto fit = files.find(d.file);
@@ -836,6 +842,15 @@ std::vector<Diagnostic> Run(const std::string& root) {
     if (!Suppressed(d, sup, files)) out.push_back(d);
   }
   for (const Diagnostic& d : sup.bad) out.push_back(d);
+  // ---- stale-suppression: an allow that suppressed nothing ----
+  for (const auto& [where, checks] : sup.allows) {
+    for (const std::string& check : checks) {
+      if (sup.used.count({where.first, where.second, check}) == 0) {
+        out.push_back({where.first, where.second, "stale-suppression",
+                       "nklint-allow(" + check + ") suppresses no diagnostic; delete it"});
+      }
+    }
+  }
   std::sort(out.begin(), out.end(), [](const Diagnostic& a, const Diagnostic& b) {
     return std::tie(a.file, a.line, a.check, a.message) <
            std::tie(b.file, b.line, b.check, b.message);

@@ -34,6 +34,8 @@
 //                      -Wswitch keeps flagging unhandled ops at compile time
 //   bad-suppression    (not suppressible) an nklint-allow names an unknown
 //                      check or omits the reason
+//   stale-suppression  (not suppressible) an nklint-allow suppresses no
+//                      diagnostic, so the exception it documents is gone
 
 #ifndef TOOLS_NKLINT_NKLINT_H_
 #define TOOLS_NKLINT_NKLINT_H_
@@ -53,8 +55,9 @@ struct Diagnostic {
 // "file:line: check: message" — the format CI greps and editors jump on.
 std::string Format(const Diagnostic& d);
 
-// True for the check names listed above (bad-suppression excluded: it cannot
-// be suppressed, so it is not a valid nklint-allow argument).
+// True for the check names listed above (bad-suppression and
+// stale-suppression excluded: they cannot be suppressed, so they are not
+// valid nklint-allow arguments).
 bool IsKnownCheck(const std::string& name);
 
 // Runs every check over `root` (a directory containing src/). Returns
